@@ -3,8 +3,9 @@
  * Batched SoA kernel perf bench and CI perf-gate artifact.
  *
  * Prints the consistency checks the batch layer must uphold (the
- * batched Monte-Carlo / fault-campaign run() is bit-identical to
- * the scalar runReference() oracle), times both sides at one
+ * batched Monte-Carlo run() and the outcome-histogram
+ * fault-campaign run() are bit-identical to the scalar
+ * runReference() oracles), times both sides at one
  * thread in ns/sample on the two hottest paths — the per-stage
  * Monte-Carlo pipeline and the combined fault campaign — and
  * writes BENCH_batch_kernels.json into the artifacts directory.
@@ -272,9 +273,8 @@ printFigure()
                 "ns/sample, reference %.1f ns/sample (%.2fx)\n",
                 fc_batch_ns, fc_ref_ns, fc_ref_ns / fc_batch_ns);
 
-    // Secondary: mixed suite appended — five draws per sample on
-    // both sides, so the ratio shrinks toward the shared draw
-    // cost. Informative, not gated.
+    // Secondary: mixed suite appended — five draws per sample and
+    // a 32-mask histogram. Informative, not gated.
     const fault::FaultCampaign mixed(mixedCampaignSpec());
     (void)mixed.run(missions / 10, 1, serial); // Warm-up.
     start = std::chrono::steady_clock::now();
@@ -292,9 +292,9 @@ printFigure()
                 mixed_ref_ns / mixed_batch_ns);
 
     // --- Stage-scoped fault campaign -----------------------------
-    // Platform faults scoped to single pipeline stages: the sampler
-    // indexes precomputed per-(mask, stage) variant tables, so this
-    // case gates the table-lookup path the stage-scoped kinds added.
+    // Platform faults scoped to single pipeline stages: each
+    // occupied outcome reads the precomputed per-(mask, stage)
+    // variant tables, so this case gates the stage-scoped kinds.
     const fault::FaultCampaign stage_campaign(stageCampaignSpec());
     const bool stage_identical =
         identical(stage_campaign.run(20011, 3, serial),

@@ -2,17 +2,16 @@
  * @file
  * FaultCampaign implementation.
  *
- * run() is the batched hot path. A sample's outcome (aside from its
- * sensor derate) is fully determined by its (platform mask, pipeline
- * mask) pair, so the winner-selection arithmetic — including the
- * redundancy voter sequence — is collapsed into a pair table
- * computed once per run with the exact scalar operation order, and
- * the per-sample loop becomes draws + table lookups + the
- * core::analyzeVSafeBlock kernel. runReference() keeps the original
- * mission-at-a-time loop as the bit-identity oracle; when a kernel
- * validation flag trips, run() re-executes the sub-batch through it
- * from a saved RNG state so the thrown error matches the scalar
- * path exactly.
+ * A sample's outcome is a pure function of which faults fired, so
+ * run() never evaluates a sample: it folds each sample's uniforms
+ * into one joint activation mask (bit j = fault j fired) and counts
+ * the masks. Each occupied mask is then evaluated once through the
+ * same scalar outcome logic the per-sample reference loop uses, and
+ * every output follows from (outcome, count) pairs: integer tallies
+ * for rates and bindings, Distribution::fromCounts for v_safe.
+ * runReference() keeps the mission-at-a-time loop as the oracle; if
+ * an occupied outcome fails F1 validation, run() reruns it so the
+ * thrown error is the scalar path's first one.
  */
 
 #include "fault/campaign.hh"
@@ -20,8 +19,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <string>
 
-#include "core/f1_batch.hh"
 #include "support/errors.hh"
 #include "support/validate.hh"
 #include "workload/stage_eval.hh"
@@ -62,6 +61,60 @@ isPipelineFault(FaultKind kind)
            kind == FaultKind::StageFailure;
 }
 
+/** Samples whose uniforms countMasks draws at a time. */
+constexpr std::size_t drawSamples = 128;
+
+/**
+ * Count the activation masks of `n` samples drawn from `rng`: one
+ * uniform per fault per sample, in fault order (exactly the scalar
+ * stream), compared against each of `levels` threshold rows; sample
+ * i bumps hist[level * 2^faults + mask]. `reach` holds each fault's
+ * largest threshold over the rows, so a sample none of whose faults
+ * fires at that threshold has mask 0 at every level and is counted
+ * once. Scalars come by value so the counter stores cannot alias
+ * them.
+ */
+void
+countMasks(Rng rng, std::size_t n, std::size_t faults,
+           const double *thresholds, const double *reach,
+           std::size_t levels, double *draw, std::uint64_t *hist)
+{
+    const std::size_t masks = std::size_t{1} << faults;
+    std::uint64_t quiet = 0;
+    for (std::size_t sub = 0; sub < n; sub += drawSamples) {
+        const std::size_t m = std::min(n - sub, drawSamples);
+        rng.uniformBlock(draw, m * faults);
+        for (std::size_t i = 0; i < m; ++i) {
+            const double *u = draw + i * faults;
+            std::size_t fired = 0;
+            for (std::size_t j = 0; j < faults; ++j)
+                fired |= static_cast<std::size_t>(u[j] < reach[j]) << j;
+            if (levels == 1) {
+                ++hist[fired]; // One row: reach is its thresholds.
+                continue;
+            }
+            if (fired == 0) {
+                ++quiet;
+                continue;
+            }
+            for (std::size_t level = 0; level < levels; ++level) {
+                const double *t = thresholds + level * faults;
+                std::size_t mask = 0;
+                for (std::size_t f = fired; f != 0; f &= f - 1) {
+                    const auto j =
+                        static_cast<std::size_t>(std::countr_zero(f));
+                    mask |= static_cast<std::size_t>(u[j] < t[j]) << j;
+                }
+                ++hist[level * masks + mask];
+            }
+        }
+    }
+    if (levels > 1) {
+        for (std::size_t level = 0; level < levels; ++level)
+            hist[level * masks] += quiet;
+    }
+}
+
 } // namespace
 
 FaultCampaign::FaultCampaign(CampaignSpec spec) : _spec(std::move(spec))
@@ -78,10 +131,16 @@ FaultCampaign::FaultCampaign(CampaignSpec spec) : _spec(std::move(spec))
             _platformFaults.push_back(j);
         else if (isPipelineFault(fault.kind))
             _pipelineFaults.push_back(j);
-        else
-            _sensorFaults.push_back(j);
     }
 
+    // A sample's outcome is one joint activation mask counted in a
+    // 2^faults histogram, so the total is capped.
+    if (_spec.faults.size() > maxFaults) {
+        throw ModelError(
+            "fault campaign supports at most " +
+            std::to_string(maxFaults) + " faults in total, got " +
+            std::to_string(_spec.faults.size()));
+    }
     // Each layer's fault subsets are enumerated into a variant
     // table indexed by activation mask, so the per-layer count is
     // capped to keep the tables small.
@@ -204,7 +263,7 @@ FaultCampaign::precomputePlatformVariants()
         _stageCount = _spec.pipeline->stages().size();
         _stageNames = _spec.pipeline->stageNames();
         _stageBase.assign(masks * _stageCount, 0.0);
-        _stageSlot.assign(masks * _stageCount, measuredSlot);
+        _stageSlot.assign(masks * _stageCount, noSlot);
     }
     for (std::size_t mask = 0; mask < masks; ++mask) {
         platform::RooflinePlatform::Spec degraded;
@@ -492,150 +551,348 @@ FaultCampaign::baseline() const
     return analysis;
 }
 
-void
-FaultCampaign::scalarSamples(
-    const std::vector<double> &effective_prob,
-    const pipeline::ModularRedundancy &redundancy,
-    std::size_t compute_ceilings, std::size_t lo, std::size_t hi,
-    Rng &rng, double *v_safe, unsigned char *aborted,
-    std::uint64_t &abort_count, std::uint64_t *activation_counts,
-    std::uint64_t *ceiling_counts, std::uint64_t *stage_counts) const
+FaultCampaign::Outcome
+FaultCampaign::outcome(std::uint64_t mask,
+                       const pipeline::ModularRedundancy &redundancy) const
 {
-    const std::size_t fault_count = _spec.faults.size();
+    // Split the joint mask into the per-layer table indices and fold
+    // the active sensor derates in fault order.
+    std::size_t platform_mask = 0;
+    std::size_t pipeline_mask = 0;
+    std::size_t platform_bit = 0;
+    std::size_t pipeline_bit = 0;
+    double sensor_fraction = 1.0;
+    for (std::size_t j = 0; j < _spec.faults.size(); ++j) {
+        const bool active = ((mask >> j) & 1u) != 0;
+        const FaultSpec &fault = _spec.faults[j];
+        if (isPlatformFault(fault.kind)) {
+            if (active)
+                platform_mask |= std::size_t{1} << platform_bit;
+            ++platform_bit;
+        } else if (isPipelineFault(fault.kind)) {
+            if (active)
+                pipeline_mask |= std::size_t{1} << pipeline_bit;
+            ++pipeline_bit;
+        } else if (active) {
+            sensor_fraction *= 1.0 - fault.sensorDerate;
+        }
+    }
+
     const platform::RooflinePlatform *machine =
         _spec.platform ? &*_spec.platform : nullptr;
     const bool stage_path = machine && _spec.pipeline.has_value();
-    core::F1Analysis analysis;
-    for (std::size_t i = lo; i < hi; ++i) {
-        // Exactly one draw per fault, active or not, so the stream a
-        // later fault sees never depends on an earlier activation
-        // (or on probabilityScale turning one off).
-        std::size_t platform_mask = 0;
-        std::size_t pipeline_mask = 0;
-        std::size_t platform_bit = 0;
-        std::size_t pipeline_bit = 0;
-        double sensor_fraction = 1.0;
-        for (std::size_t j = 0; j < fault_count; ++j) {
-            const bool active = rng.uniform() < effective_prob[j];
-            const FaultSpec &fault = _spec.faults[j];
-            if (isPlatformFault(fault.kind)) {
-                if (active) {
-                    platform_mask |= std::size_t{1} << platform_bit;
-                }
-                ++platform_bit;
-            } else if (isPipelineFault(fault.kind)) {
-                if (active) {
-                    pipeline_mask |= std::size_t{1} << pipeline_bit;
-                }
-                ++pipeline_bit;
-            } else if (active) {
-                sensor_fraction *= 1.0 - fault.sensorDerate;
-            }
-            if (active)
-                ++activation_counts[j];
+    core::F1Inputs inputs = _spec.nominal;
+    bool abort = sensor_fraction <= 0.0;
+    platform::CeilingRef binding{};
+    if (machine) {
+        const PlatformVariant &variant =
+            _platformVariants[platform_mask];
+        abort = abort || variant.aborts;
+        inputs.computeRate = units::Hertz(variant.computeRate);
+        binding = variant.binding;
+    }
+    if (_spec.pipeline) {
+        const PipelineVariant &variant =
+            _pipelineVariants[pipeline_mask];
+        abort = abort || variant.aborts;
+        double pipeline_rate = variant.throughputHz;
+        if (!abort && stage_path) {
+            // Workload-aware path: the degraded per-stage bounds,
+            // inflated by the active stage faults.
+            const double *base =
+                &_stageBase[platform_mask * _stageCount];
+            const double *inflation =
+                &_stageInflation[pipeline_mask * _stageCount];
+            double total = 0.0;
+            for (std::size_t s = 0; s < _stageCount; ++s)
+                total += base[s] * inflation[s];
+            pipeline_rate =
+                redundancy
+                    .effectiveThroughput(units::Hertz(1.0 / total))
+                    .value();
         }
+        if (!abort &&
+            (!machine || pipeline_rate < inputs.computeRate.value())) {
+            inputs.computeRate = units::Hertz(pipeline_rate);
+            binding = {};
+        }
+    }
 
-        core::F1Inputs inputs = _spec.nominal;
-        bool abort = sensor_fraction <= 0.0;
-        platform::CeilingRef binding{};
-        if (machine) {
-            const PlatformVariant &variant =
-                _platformVariants[platform_mask];
-            abort = abort || variant.aborts;
-            inputs.computeRate = units::Hertz(variant.computeRate);
-            binding = variant.binding;
-        }
-        if (_spec.pipeline) {
-            const PipelineVariant &variant =
-                _pipelineVariants[pipeline_mask];
-            abort = abort || variant.aborts;
-            double pipeline_rate = variant.throughputHz;
-            if (!abort && stage_path) {
-                // Workload-aware path: the degraded per-stage
-                // bounds, inflated by the active stage faults.
-                // Table lookups and a short sum — allocation-free.
-                const double *base =
-                    &_stageBase[platform_mask * _stageCount];
-                const double *inflation =
-                    &_stageInflation[pipeline_mask * _stageCount];
-                double total = 0.0;
-                for (std::size_t s = 0; s < _stageCount; ++s)
-                    total += base[s] * inflation[s];
-                pipeline_rate =
-                    redundancy
-                        .effectiveThroughput(
-                            units::Hertz(1.0 / total))
-                        .value();
-            }
-            if (!abort &&
-                (!machine ||
-                 pipeline_rate < inputs.computeRate.value())) {
-                inputs.computeRate = units::Hertz(pipeline_rate);
-                binding = {};
-            }
-        }
-        if (abort) {
-            aborted[i] = 1;
-            ++abort_count;
-            continue;
-        }
-        inputs.sensorRate = units::Hertz(inputs.sensorRate.value() *
-                                         sensor_fraction);
-        inputs.computeBinding = binding;
-        core::F1Model::analyzeInto(inputs, analysis);
-        v_safe[i] = analysis.safeVelocity.value();
-        if (machine && binding.attributed) {
-            const std::size_t slot =
-                binding.kind == platform::CeilingKind::Compute
-                    ? binding.index
-                    : compute_ceilings + binding.index;
-            ++ceiling_counts[slot];
-        }
-        if (stage_path) {
-            const std::uint32_t *slots =
-                &_stageSlot[platform_mask * _stageCount];
-            for (std::size_t s = 0; s < _stageCount; ++s) {
-                const std::size_t kind =
-                    slots[s] == measuredSlot
-                        ? 2
-                        : (slots[s] < compute_ceilings ? 0 : 1);
-                ++stage_counts[s * 3 + kind];
-            }
-        }
+    Outcome out;
+    out.platformMask = platform_mask;
+    if (abort) {
+        out.aborts = true;
+        return out;
+    }
+    inputs.sensorRate =
+        units::Hertz(inputs.sensorRate.value() * sensor_fraction);
+    inputs.computeBinding = binding;
+    core::F1Analysis analysis;
+    core::F1Model::analyzeInto(inputs, analysis);
+    out.safeVelocity = analysis.safeVelocity.value();
+    if (machine && binding.attributed) {
+        out.ceilingSlot = static_cast<std::uint32_t>(
+            binding.kind == platform::CeilingKind::Compute
+                ? binding.index
+                : machine->computeCeilings().size() + binding.index);
+    }
+    return out;
+}
+
+/** Integer tallies of a set of samples plus their surviving v_safe
+ * values as (value, multiplicity) pairs. */
+struct FaultCampaign::Tally
+{
+    std::uint64_t aborts = 0;
+    std::vector<std::uint64_t> activations; ///< Per fault.
+    std::vector<std::uint64_t> ceilings;    ///< Per flat slot.
+    std::vector<std::uint64_t> stages;      ///< [stage * 3 + kind].
+    std::vector<std::pair<double, std::uint64_t>> survivors;
+
+    /** Fold `other` in after this one (survivors keep its order). */
+    void merge(const Tally &other)
+    {
+        aborts += other.aborts;
+        for (std::size_t j = 0; j < activations.size(); ++j)
+            activations[j] += other.activations[j];
+        for (std::size_t k = 0; k < ceilings.size(); ++k)
+            ceilings[k] += other.ceilings[k];
+        for (std::size_t k = 0; k < stages.size(); ++k)
+            stages[k] += other.stages[k];
+        survivors.insert(survivors.end(), other.survivors.begin(),
+                         other.survivors.end());
+    }
+};
+
+FaultCampaign::Tally
+FaultCampaign::emptyTally() const
+{
+    Tally tally;
+    tally.activations.assign(_spec.faults.size(), 0);
+    if (_spec.platform) {
+        tally.ceilings.assign(
+            _spec.platform->computeCeilings().size() +
+                _spec.platform->memoryCeilings().size(),
+            0);
+        if (_spec.pipeline)
+            tally.stages.assign(_stageCount * 3, 0);
+    }
+    return tally;
+}
+
+void
+FaultCampaign::add(Tally &tally, std::uint64_t mask,
+                   const Outcome &outcome, std::uint64_t n) const
+{
+    for (std::size_t j = 0; j < _spec.faults.size(); ++j) {
+        if ((mask >> j) & 1u)
+            tally.activations[j] += n;
+    }
+    if (outcome.aborts) {
+        tally.aborts += n;
+        return;
+    }
+    tally.survivors.emplace_back(outcome.safeVelocity, n);
+    if (outcome.ceilingSlot != noSlot)
+        tally.ceilings[outcome.ceilingSlot] += n;
+    if (tally.stages.empty())
+        return;
+    // Stage kinds: 0 compute-bound, 1 memory-bound, 2 measured.
+    const std::size_t compute_ceilings =
+        _spec.platform->computeCeilings().size();
+    const std::uint32_t *slots =
+        &_stageSlot[outcome.platformMask * _stageCount];
+    for (std::size_t s = 0; s < _stageCount; ++s) {
+        const std::size_t kind =
+            slots[s] == noSlot
+                ? 2
+                : (slots[s] < compute_ceilings ? 0 : 1);
+        tally.stages[s * 3 + kind] += n;
     }
 }
 
-namespace {
-
-/** Per-slot scratch for the batched campaign run, reused across
- * blocks. Aligned like the Monte-Carlo arena so the v_safe
- * kernel's stride loads never split a cache line. */
-struct alignas(64) CampaignArena
+CampaignResult
+FaultCampaign::summarize(Tally tally, std::size_t count) const
 {
-    static constexpr std::size_t cap =
-        sim::MonteCarloAnalyzer::kernelBlock;
-    std::uint32_t platformMask[cap];
-    std::uint32_t pipelineMask[cap];
-    double sensorFraction[cap];
-    std::uint8_t abortFlag[cap];
-    /** Dense (non-aborted) lanes for the kernel. */
-    std::uint32_t denseIndex[cap]; ///< Global sample index.
-    std::uint32_t densePair[cap];  ///< Pair-table index.
-    std::uint32_t densePlatformMask[cap];
-    double sensorRate[cap];
-    double computeRate[cap];
-    double vSafe[cap];
-    /** Per-fault activation tallies, committed post-validation. */
-    std::vector<std::uint64_t> activations;
-    /** Platform-mask histogram for batched stage tallies. */
-    std::vector<std::uint64_t> maskHist;
-    /** Uniform draws for one sub-block, sample-major
-     * [i * faultCount + j]; filled by Rng::uniformBlock so the
-     * activation loop is free of the serial generator chain. */
-    std::vector<double> draws;
-};
+    CampaignResult result;
+    result.samples = count;
+    const double samples = static_cast<double>(count);
+    result.abortProbability =
+        static_cast<double>(tally.aborts) / samples;
+    for (const std::uint64_t hits : tally.activations)
+        result.faultActivationRate.push_back(
+            static_cast<double>(hits) / samples);
 
-} // namespace
+    const std::uint64_t survivors = count - tally.aborts;
+    const double denom =
+        survivors > 0 ? static_cast<double>(survivors) : 1.0;
+    if (_spec.platform) {
+        const std::size_t compute_ceilings =
+            _spec.platform->computeCeilings().size();
+        for (std::size_t k = 0; k < tally.ceilings.size(); ++k) {
+            const double prob =
+                survivors > 0
+                    ? static_cast<double>(tally.ceilings[k]) / denom
+                    : 0.0;
+            (k < compute_ceilings ? result.probComputeCeilingBinds
+                                  : result.probMemoryCeilingBinds)
+                .push_back(prob);
+        }
+    }
+    result.stageBindings.resize(tally.stages.size() / 3);
+    for (std::size_t s = 0; s < result.stageBindings.size(); ++s) {
+        StageBindingStats &stats = result.stageBindings[s];
+        stats.stage = _stageNames[s];
+        stats.probComputeBound =
+            static_cast<double>(tally.stages[s * 3 + 0]) / denom;
+        stats.probMemoryBound =
+            static_cast<double>(tally.stages[s * 3 + 1]) / denom;
+        stats.probMeasured =
+            static_cast<double>(tally.stages[s * 3 + 2]) / denom;
+    }
+
+    if (survivors > 0) {
+        result.safeVelocity =
+            sim::Distribution::fromCounts(std::move(tally.survivors));
+    }
+    return result;
+}
+
+std::vector<double>
+FaultCampaign::thresholds(double probability_scale) const
+{
+    std::vector<double> out;
+    for (const FaultSpec &fault : _spec.faults)
+        out.push_back(
+            std::min(1.0, fault.probability * probability_scale));
+    return out;
+}
+
+std::vector<std::uint64_t>
+FaultCampaign::sampleOutcomes(const std::vector<double> &thresholds,
+                              std::size_t levels, std::size_t count,
+                              std::uint64_t seed,
+                              const exec::ParallelOptions &parallel) const
+{
+    const std::size_t fault_count = _spec.faults.size();
+    const std::size_t masks = std::size_t{1} << fault_count;
+    const std::size_t cells = levels * masks;
+
+    // Same deterministic decomposition as MonteCarloAnalyzer:
+    // fixed-size blocks on forked substreams keyed by block index
+    // (block b draws from the root's (b+1)-th fork). The histograms
+    // are integers, so merging them in any order is exact and the
+    // result is independent of the thread count.
+    const std::size_t blocks =
+        (count + sampleBlock - 1) / sampleBlock;
+    const Rng root(seed);
+
+    std::vector<double> reach(fault_count, 0.0);
+    for (std::size_t level = 0; level < levels; ++level)
+        for (std::size_t j = 0; j < fault_count; ++j)
+            reach[j] = std::max(reach[j],
+                                thresholds[level * fault_count + j]);
+
+    exec::ParallelOptions options = parallel;
+    options.grain = 1; // One block per chunk.
+    const std::size_t slots = exec::maxSlots(options);
+    // Per-slot regions padded by a cache line so concurrently
+    // written counters and draws never share one.
+    constexpr std::size_t pad = 64 / sizeof(double);
+    const std::size_t count_stride = cells + pad;
+    const std::size_t draw_stride = drawSamples * fault_count + pad;
+    std::vector<std::uint64_t> counts(slots * count_stride, 0);
+    std::vector<double> draws(slots * draw_stride);
+
+    exec::parallelForSlots(
+        blocks,
+        [&](std::size_t slot, std::size_t block_begin,
+            std::size_t block_end) {
+            for (std::size_t b = block_begin; b < block_end; ++b) {
+                const std::size_t lo = b * sampleBlock;
+                countMasks(root.forkAt(b),
+                           std::min(count, lo + sampleBlock) - lo,
+                           fault_count, thresholds.data(),
+                           reach.data(), levels,
+                           draws.data() + slot * draw_stride,
+                           counts.data() + slot * count_stride);
+            }
+        },
+        options);
+
+    for (std::size_t slot = 1; slot < slots; ++slot)
+        for (std::size_t c = 0; c < cells; ++c)
+            counts[c] += counts[slot * count_stride + c];
+    counts.resize(cells);
+    return counts;
+}
+
+CampaignResult
+FaultCampaign::fromHistogram(const std::uint64_t *counts,
+                             const std::vector<double> &threshold,
+                             std::size_t count, std::uint64_t seed,
+                             const exec::ParallelOptions &parallel) const
+{
+    const pipeline::ModularRedundancy redundancy(_spec.redundancy);
+    Tally tally = emptyTally();
+    const std::size_t masks = std::size_t{1} << _spec.faults.size();
+    try {
+        for (std::size_t mask = 0; mask < masks; ++mask) {
+            if (counts[mask] != 0)
+                add(tally, mask, outcome(mask, redundancy),
+                    counts[mask]);
+        }
+    } catch (const ModelError &) {
+        // An occupied outcome failed F1 validation: rerun the scalar
+        // loop so the error thrown is its first one, byte for byte.
+        return reference(threshold, count, seed, parallel);
+    }
+    return summarize(std::move(tally), count);
+}
+
+CampaignResult
+FaultCampaign::reference(const std::vector<double> &threshold,
+                         std::size_t count, std::uint64_t seed,
+                         const exec::ParallelOptions &parallel) const
+{
+    const std::size_t blocks =
+        (count + sampleBlock - 1) / sampleBlock;
+    const Rng root(seed);
+    const pipeline::ModularRedundancy redundancy(_spec.redundancy);
+    std::vector<Tally> block_tallies(blocks, emptyTally());
+    exec::ParallelOptions options = parallel;
+    options.grain = 1; // One block per chunk.
+    exec::parallelFor(
+        blocks,
+        [&](std::size_t block_begin, std::size_t block_end) {
+            for (std::size_t b = block_begin; b < block_end; ++b) {
+                Rng rng = root.forkAt(b);
+                const std::size_t lo = b * sampleBlock;
+                const std::size_t hi =
+                    std::min(count, lo + sampleBlock);
+                for (std::size_t i = lo; i < hi; ++i) {
+                    // Exactly one draw per fault, active or not, so
+                    // the stream a later fault sees never depends on
+                    // an earlier activation (or on probabilityScale
+                    // turning one off).
+                    std::uint64_t mask = 0;
+                    for (std::size_t j = 0; j < threshold.size(); ++j) {
+                        if (rng.uniform() < threshold[j])
+                            mask |= std::uint64_t{1} << j;
+                    }
+                    add(block_tallies[b], mask,
+                        outcome(mask, redundancy), 1);
+                }
+            }
+        },
+        options);
+
+    // Merged in block order, so survivors stay in sample order.
+    Tally total = emptyTally();
+    for (const Tally &block : block_tallies)
+        total.merge(block);
+    return summarize(std::move(total), count);
+}
 
 CampaignResult
 FaultCampaign::run(std::size_t count, std::uint64_t seed,
@@ -643,451 +900,12 @@ FaultCampaign::run(std::size_t count, std::uint64_t seed,
 {
     if (count < 10)
         throw ModelError("fault campaign needs >= 10 samples");
-
-    const std::size_t fault_count = _spec.faults.size();
-    std::vector<double> effective_prob(fault_count);
-    for (std::size_t j = 0; j < fault_count; ++j) {
-        effective_prob[j] =
-            std::min(1.0, _spec.faults[j].probability *
-                              _spec.probabilityScale);
-    }
-
-    // Same deterministic decomposition as MonteCarloAnalyzer:
-    // fixed-size blocks on forked substreams keyed by block index,
-    // per-block tallies merged in block order.
-    const std::size_t blocks =
-        (count + sampleBlock - 1) / sampleBlock;
-    std::vector<Rng> block_rngs;
-    block_rngs.reserve(blocks);
-    Rng root(seed);
-    for (std::size_t b = 0; b < blocks; ++b)
-        block_rngs.push_back(root.fork());
-
-    std::vector<double> v_safe(count);
-    std::vector<unsigned char> aborted(count, 0);
-    std::vector<std::uint64_t> abort_counts(blocks, 0);
-    std::vector<std::vector<std::uint64_t>> activation_counts(
-        blocks, std::vector<std::uint64_t>(fault_count, 0));
-
-    const platform::RooflinePlatform *machine =
-        _spec.platform ? &*_spec.platform : nullptr;
-    const std::size_t compute_ceilings =
-        machine ? machine->computeCeilings().size() : 0;
-    const std::size_t total_ceilings =
-        machine ? compute_ceilings + machine->memoryCeilings().size()
-                : 0;
-    std::vector<std::vector<std::uint64_t>> ceiling_counts(
-        machine ? blocks : 0,
-        std::vector<std::uint64_t>(total_ceilings, 0));
-
-    const bool stage_path = machine && _spec.pipeline.has_value();
-    std::vector<std::vector<std::uint64_t>> stage_counts(
-        stage_path ? blocks : 0,
-        std::vector<std::uint64_t>(_stageCount * 3, 0));
-    const pipeline::ModularRedundancy redundancy(_spec.redundancy);
-
-    // Per-fault layer routing, precomputed out of the draw loop.
-    // layer: 0 platform, 1 pipeline, 2 sensor; bit is the mask bit
-    // within the fault's layer.
-    std::vector<std::uint8_t> fault_layer(fault_count, 2);
-    std::vector<std::uint32_t> fault_bit(fault_count, 0);
-    std::vector<double> sensor_keep(fault_count, 1.0);
-    {
-        std::uint32_t platform_bit = 0;
-        std::uint32_t pipeline_bit = 0;
-        for (std::size_t j = 0; j < fault_count; ++j) {
-            const FaultSpec &fault = _spec.faults[j];
-            if (isPlatformFault(fault.kind)) {
-                fault_layer[j] = 0;
-                fault_bit[j] = platform_bit++;
-            } else if (isPipelineFault(fault.kind)) {
-                fault_layer[j] = 1;
-                fault_bit[j] = pipeline_bit++;
-            } else {
-                sensor_keep[j] = 1.0 - fault.sensorDerate;
-            }
-        }
-    }
-
-    // Branch-light companions for the draw loop: the mask bit a
-    // fault contributes when active (0 outside its layer) and the
-    // sensor multiplier applied when active (1.0 for non-sensor
-    // faults; x * 1.0 is exact, so the product sequence is
-    // unchanged).
-    std::vector<std::uint32_t> active_pbit(fault_count, 0);
-    std::vector<std::uint32_t> active_qbit(fault_count, 0);
-    std::vector<double> active_keep(fault_count, 1.0);
-    for (std::size_t j = 0; j < fault_count; ++j) {
-        if (fault_layer[j] == 0)
-            active_pbit[j] = std::uint32_t{1} << fault_bit[j];
-        else if (fault_layer[j] == 1)
-            active_qbit[j] = std::uint32_t{1} << fault_bit[j];
-        else
-            active_keep[j] = sensor_keep[j];
-    }
-
-    // Pair tables over (platform mask, pipeline mask): every
-    // mask-determined per-sample expression — the stage-path
-    // latency sum, the redundancy voter arithmetic, the
-    // pipeline-vs-platform winner select, the flat binding slot —
-    // evaluated once per pair with the exact scalar operation
-    // order. pair = platform_mask * qmasks + pipeline_mask.
-    const std::size_t pmasks =
-        machine ? _platformVariants.size() : 1;
-    const std::size_t qmasks =
-        _spec.pipeline ? _pipelineVariants.size() : 1;
-    constexpr std::uint32_t no_slot = ~std::uint32_t{0};
-    std::vector<std::uint8_t> pair_aborts(pmasks * qmasks, 0);
-    std::vector<double> pair_rate(pmasks * qmasks, 0.0);
-    std::vector<std::uint32_t> pair_slot(pmasks * qmasks, no_slot);
-    const double nominal_compute = _spec.nominal.computeRate.value();
-    for (std::size_t p = 0; p < pmasks; ++p) {
-        for (std::size_t q = 0; q < qmasks; ++q) {
-            const std::size_t pair = p * qmasks + q;
-            bool abort = false;
-            double rate = nominal_compute;
-            std::uint32_t slot = no_slot;
-            if (machine) {
-                const PlatformVariant &variant = _platformVariants[p];
-                abort = abort || variant.aborts;
-                rate = variant.computeRate;
-                if (variant.binding.attributed) {
-                    slot = static_cast<std::uint32_t>(
-                        variant.binding.kind ==
-                                platform::CeilingKind::Compute
-                            ? variant.binding.index
-                            : compute_ceilings +
-                                  variant.binding.index);
-                }
-            }
-            if (_spec.pipeline) {
-                const PipelineVariant &variant = _pipelineVariants[q];
-                abort = abort || variant.aborts;
-                double pipeline_rate = variant.throughputHz;
-                if (!abort && stage_path) {
-                    const double *base =
-                        &_stageBase[p * _stageCount];
-                    const double *inflation =
-                        &_stageInflation[q * _stageCount];
-                    double total = 0.0;
-                    for (std::size_t s = 0; s < _stageCount; ++s)
-                        total += base[s] * inflation[s];
-                    pipeline_rate =
-                        redundancy
-                            .effectiveThroughput(
-                                units::Hertz(1.0 / total))
-                            .value();
-                }
-                if (!abort && (!machine || pipeline_rate < rate)) {
-                    rate = pipeline_rate;
-                    slot = no_slot;
-                }
-            }
-            pair_aborts[pair] = abort ? 1 : 0;
-            pair_rate[pair] = rate;
-            pair_slot[pair] = slot;
-        }
-    }
-
-    // Stage-kind table per platform mask (kind: 0 compute, 1 memory,
-    // 2 measured), so per-sample stage tallies reduce to one
-    // platform-mask histogram per block.
-    std::vector<std::uint8_t> stage_kind;
-    if (stage_path) {
-        stage_kind.resize(pmasks * _stageCount, 2);
-        for (std::size_t p = 0; p < pmasks; ++p) {
-            for (std::size_t s = 0; s < _stageCount; ++s) {
-                const std::uint32_t slot =
-                    _stageSlot[p * _stageCount + s];
-                stage_kind[p * _stageCount + s] =
-                    slot == measuredSlot
-                        ? 2
-                        : (slot < compute_ceilings ? 0 : 1);
-            }
-        }
-    }
-
-    const double nominal_sensor = _spec.nominal.sensorRate.value();
-    const double nominal_amax = _spec.nominal.aMax.value();
-    const double nominal_range = _spec.nominal.sensingRange.value();
-    const double control = _spec.nominal.controlRate.value();
-    const double knee_fraction = _spec.nominal.kneeFraction;
-    constexpr std::size_t kernel_block =
-        sim::MonteCarloAnalyzer::kernelBlock;
-
-    exec::ParallelOptions options = parallel;
-    options.grain = 1; // One block per chunk.
-    std::vector<CampaignArena> arenas(exec::maxSlots(options));
-    for (auto &arena : arenas) {
-        arena.activations.assign(fault_count, 0);
-        arena.maskHist.assign(stage_path ? pmasks : 0, 0);
-        arena.draws.assign(kernel_block * fault_count, 0.0);
-    }
-
-    exec::parallelForSlots(
-        blocks,
-        [&](std::size_t slot_index, std::size_t block_begin,
-            std::size_t block_end) {
-            CampaignArena &arena = arenas[slot_index];
-            for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = block_rngs[b];
-                const std::size_t lo = b * sampleBlock;
-                const std::size_t hi =
-                    std::min(count, lo + sampleBlock);
-                if (stage_path)
-                    std::fill(arena.maskHist.begin(),
-                              arena.maskHist.end(), 0);
-                for (std::size_t sub = lo; sub < hi;
-                     sub += kernel_block) {
-                    const std::size_t m =
-                        std::min(hi - sub, kernel_block);
-                    Rng rescan_rng = rng;
-
-                    // Phase A: draws — one uniform per fault per
-                    // sample, in fault order, exactly the scalar
-                    // sequence (uniformBlock emits the same
-                    // stream without the serial generator chain).
-                    std::fill(arena.activations.begin(),
-                              arena.activations.end(), 0);
-                    rng.uniformBlock(arena.draws.data(),
-                                     m * fault_count);
-                    if (fault_count <= 64) {
-                        // Activations are rare, so reduce each
-                        // sample to one activation bitmask (a
-                        // compare/or chain) and run the mask and
-                        // derate bookkeeping over set bits only.
-                        // Bits ascend in fault order, so the
-                        // sensor-keep multiplies happen in exactly
-                        // the scalar sequence.
-                        for (std::size_t i = 0; i < m; ++i) {
-                            const double *draw =
-                                arena.draws.data() +
-                                i * fault_count;
-                            std::uint64_t amask = 0;
-                            for (std::size_t j = 0;
-                                 j < fault_count; ++j)
-                                amask |= draw[j] <
-                                                 effective_prob[j]
-                                             ? std::uint64_t{1}
-                                                   << j
-                                             : 0u;
-                            std::uint32_t pmask = 0;
-                            std::uint32_t qmask = 0;
-                            double sensor_fraction = 1.0;
-                            for (std::uint64_t t = amask; t != 0;
-                                 t &= t - 1) {
-                                const std::size_t j =
-                                    static_cast<std::size_t>(
-                                        std::countr_zero(t));
-                                pmask |= active_pbit[j];
-                                qmask |= active_qbit[j];
-                                sensor_fraction *= active_keep[j];
-                                ++arena.activations[j];
-                            }
-                            arena.platformMask[i] = pmask;
-                            arena.pipelineMask[i] = qmask;
-                            arena.sensorFraction[i] =
-                                sensor_fraction;
-                        }
-                    } else {
-                        for (std::size_t i = 0; i < m; ++i) {
-                            const double *draw =
-                                arena.draws.data() +
-                                i * fault_count;
-                            std::uint32_t pmask = 0;
-                            std::uint32_t qmask = 0;
-                            double sensor_fraction = 1.0;
-                            for (std::size_t j = 0;
-                                 j < fault_count; ++j) {
-                                const bool active =
-                                    draw[j] < effective_prob[j];
-                                pmask |=
-                                    active ? active_pbit[j] : 0u;
-                                qmask |=
-                                    active ? active_qbit[j] : 0u;
-                                sensor_fraction *=
-                                    active ? active_keep[j] : 1.0;
-                                arena.activations[j] +=
-                                    active ? 1 : 0;
-                            }
-                            arena.platformMask[i] = pmask;
-                            arena.pipelineMask[i] = qmask;
-                            arena.sensorFraction[i] =
-                                sensor_fraction;
-                        }
-                    }
-
-                    // Phase B: pair-table lookups; compact the
-                    // non-aborted samples into dense kernel lanes.
-                    // requireInRange's exact acceptance (NaN
-                    // passes both comparisons, as in the scalar).
-                    std::size_t dense = 0;
-                    bool ok = !(knee_fraction < 1e-6 ||
-                                knee_fraction > 1.0 - 1e-9);
-                    for (std::size_t i = 0; i < m; ++i) {
-                        const std::size_t pair =
-                            arena.platformMask[i] * qmasks +
-                            arena.pipelineMask[i];
-                        const bool abort =
-                            arena.sensorFraction[i] <= 0.0 ||
-                            pair_aborts[pair] != 0;
-                        arena.abortFlag[i] = abort ? 1 : 0;
-                        if (abort)
-                            continue;
-                        arena.denseIndex[dense] =
-                            static_cast<std::uint32_t>(sub + i);
-                        arena.densePair[dense] =
-                            static_cast<std::uint32_t>(pair);
-                        arena.densePlatformMask[dense] =
-                            arena.platformMask[i];
-                        arena.sensorRate[dense] =
-                            nominal_sensor *
-                            arena.sensorFraction[i];
-                        arena.computeRate[dense] = pair_rate[pair];
-                        ++dense;
-                    }
-
-                    // Phase C: the v_safe kernel over the dense
-                    // lanes (physics is constant — the campaign
-                    // never perturbs the airframe).
-                    ok = core::analyzeVSafeBlock(
-                             nominal_amax, nominal_range,
-                             arena.sensorRate, arena.computeRate,
-                             control, dense, arena.vSafe) &&
-                         ok;
-
-                    if (!ok) {
-                        // Scalar fallback from the saved RNG state:
-                        // the first failing sample throws the
-                        // scalar path's own error, and nothing was
-                        // committed for this sub-batch.
-                        std::uint64_t abort_local = 0;
-                        scalarSamples(
-                            effective_prob, redundancy,
-                            compute_ceilings, sub, sub + m,
-                            rescan_rng, v_safe.data(),
-                            aborted.data(), abort_local,
-                            activation_counts[b].data(),
-                            machine ? ceiling_counts[b].data()
-                                    : nullptr,
-                            stage_path ? stage_counts[b].data()
-                                       : nullptr);
-                        abort_counts[b] += abort_local;
-                        continue;
-                    }
-
-                    // Commit: activations, aborts, outputs and
-                    // tallies, only after every phase validated.
-                    for (std::size_t j = 0; j < fault_count; ++j)
-                        activation_counts[b][j] +=
-                            arena.activations[j];
-                    for (std::size_t i = 0; i < m; ++i) {
-                        if (arena.abortFlag[i]) {
-                            aborted[sub + i] = 1;
-                            ++abort_counts[b];
-                        }
-                    }
-                    for (std::size_t k = 0; k < dense; ++k) {
-                        v_safe[arena.denseIndex[k]] = arena.vSafe[k];
-                        const std::uint32_t ceiling =
-                            pair_slot[arena.densePair[k]];
-                        if (machine && ceiling != no_slot)
-                            ++ceiling_counts[b][ceiling];
-                        if (stage_path)
-                            ++arena.maskHist
-                                  [arena.densePlatformMask[k]];
-                    }
-                }
-                if (stage_path) {
-                    for (std::size_t p = 0; p < pmasks; ++p) {
-                        const std::uint64_t hits = arena.maskHist[p];
-                        if (hits == 0)
-                            continue;
-                        const std::uint8_t *kinds =
-                            &stage_kind[p * _stageCount];
-                        for (std::size_t s = 0; s < _stageCount;
-                             ++s)
-                            stage_counts[b][s * 3 + kinds[s]] +=
-                                hits;
-                    }
-                }
-            }
-        },
-        options);
-
-    CampaignResult result;
-    result.samples = count;
-
-    std::uint64_t aborts = 0;
-    for (const std::uint64_t block_aborts : abort_counts)
-        aborts += block_aborts;
-    result.abortProbability =
-        static_cast<double>(aborts) / static_cast<double>(count);
-
-    result.faultActivationRate.assign(fault_count, 0.0);
-    for (const auto &block : activation_counts)
-        for (std::size_t j = 0; j < fault_count; ++j)
-            result.faultActivationRate[j] +=
-                static_cast<double>(block[j]);
-    for (std::size_t j = 0; j < fault_count; ++j)
-        result.faultActivationRate[j] /=
-            static_cast<double>(count);
-
-    const std::size_t survivors = count - aborts;
-    if (machine) {
-        std::vector<std::uint64_t> ceiling_totals(total_ceilings, 0);
-        for (const auto &block : ceiling_counts)
-            for (std::size_t k = 0; k < total_ceilings; ++k)
-                ceiling_totals[k] += block[k];
-        result.probComputeCeilingBinds.resize(compute_ceilings);
-        result.probMemoryCeilingBinds.resize(total_ceilings -
-                                             compute_ceilings);
-        for (std::size_t k = 0; k < total_ceilings; ++k) {
-            const double prob =
-                survivors > 0
-                    ? static_cast<double>(ceiling_totals[k]) /
-                          static_cast<double>(survivors)
-                    : 0.0;
-            if (k < compute_ceilings)
-                result.probComputeCeilingBinds[k] = prob;
-            else
-                result.probMemoryCeilingBinds[k - compute_ceilings] =
-                    prob;
-        }
-    }
-    if (stage_path) {
-        std::vector<std::uint64_t> stage_totals(_stageCount * 3, 0);
-        for (const auto &block : stage_counts)
-            for (std::size_t k = 0; k < stage_totals.size(); ++k)
-                stage_totals[k] += block[k];
-        result.stageBindings.resize(_stageCount);
-        for (std::size_t s = 0; s < _stageCount; ++s) {
-            StageBindingStats &stats = result.stageBindings[s];
-            stats.stage = _stageNames[s];
-            const double denom =
-                survivors > 0 ? static_cast<double>(survivors) : 1.0;
-            stats.probComputeBound =
-                static_cast<double>(stage_totals[s * 3 + 0]) / denom;
-            stats.probMemoryBound =
-                static_cast<double>(stage_totals[s * 3 + 1]) / denom;
-            stats.probMeasured =
-                static_cast<double>(stage_totals[s * 3 + 2]) / denom;
-        }
-    }
-
-    if (survivors > 0) {
-        // Compacted in sample-index order, so the distribution is
-        // independent of which thread ran which block.
-        std::vector<double> surviving;
-        surviving.reserve(survivors);
-        for (std::size_t i = 0; i < count; ++i) {
-            if (!aborted[i])
-                surviving.push_back(v_safe[i]);
-        }
-        result.safeVelocity =
-            sim::Distribution::fromSamples(std::move(surviving));
-    }
-    return result;
+    const std::vector<double> threshold =
+        thresholds(_spec.probabilityScale);
+    const std::vector<std::uint64_t> counts =
+        sampleOutcomes(threshold, 1, count, seed, parallel);
+    return fromHistogram(counts.data(), threshold, count, seed,
+                         parallel);
 }
 
 CampaignResult
@@ -1097,137 +915,8 @@ FaultCampaign::runReference(
 {
     if (count < 10)
         throw ModelError("fault campaign needs >= 10 samples");
-
-    const std::size_t fault_count = _spec.faults.size();
-    std::vector<double> effective_prob(fault_count);
-    for (std::size_t j = 0; j < fault_count; ++j) {
-        effective_prob[j] =
-            std::min(1.0, _spec.faults[j].probability *
-                              _spec.probabilityScale);
-    }
-
-    const std::size_t blocks =
-        (count + sampleBlock - 1) / sampleBlock;
-    std::vector<Rng> block_rngs;
-    block_rngs.reserve(blocks);
-    Rng root(seed);
-    for (std::size_t b = 0; b < blocks; ++b)
-        block_rngs.push_back(root.fork());
-
-    std::vector<double> v_safe(count);
-    std::vector<unsigned char> aborted(count, 0);
-    std::vector<std::uint64_t> abort_counts(blocks, 0);
-    std::vector<std::vector<std::uint64_t>> activation_counts(
-        blocks, std::vector<std::uint64_t>(fault_count, 0));
-
-    const platform::RooflinePlatform *machine =
-        _spec.platform ? &*_spec.platform : nullptr;
-    const std::size_t compute_ceilings =
-        machine ? machine->computeCeilings().size() : 0;
-    const std::size_t total_ceilings =
-        machine ? compute_ceilings + machine->memoryCeilings().size()
-                : 0;
-    std::vector<std::vector<std::uint64_t>> ceiling_counts(
-        machine ? blocks : 0,
-        std::vector<std::uint64_t>(total_ceilings, 0));
-
-    const bool stage_path = machine && _spec.pipeline.has_value();
-    std::vector<std::vector<std::uint64_t>> stage_counts(
-        stage_path ? blocks : 0,
-        std::vector<std::uint64_t>(_stageCount * 3, 0));
-    const pipeline::ModularRedundancy redundancy(_spec.redundancy);
-
-    exec::ParallelOptions options = parallel;
-    options.grain = 1; // One block per chunk.
-    exec::parallelFor(
-        blocks,
-        [&](std::size_t block_begin, std::size_t block_end) {
-            for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = block_rngs[b];
-                const std::size_t lo = b * sampleBlock;
-                const std::size_t hi =
-                    std::min(count, lo + sampleBlock);
-                scalarSamples(
-                    effective_prob, redundancy, compute_ceilings, lo,
-                    hi, rng, v_safe.data(), aborted.data(),
-                    abort_counts[b], activation_counts[b].data(),
-                    machine ? ceiling_counts[b].data() : nullptr,
-                    stage_path ? stage_counts[b].data() : nullptr);
-            }
-        },
-        options);
-
-    CampaignResult result;
-    result.samples = count;
-
-    std::uint64_t aborts = 0;
-    for (const std::uint64_t block_aborts : abort_counts)
-        aborts += block_aborts;
-    result.abortProbability =
-        static_cast<double>(aborts) / static_cast<double>(count);
-
-    result.faultActivationRate.assign(fault_count, 0.0);
-    for (const auto &block : activation_counts)
-        for (std::size_t j = 0; j < fault_count; ++j)
-            result.faultActivationRate[j] +=
-                static_cast<double>(block[j]);
-    for (std::size_t j = 0; j < fault_count; ++j)
-        result.faultActivationRate[j] /=
-            static_cast<double>(count);
-
-    const std::size_t survivors = count - aborts;
-    if (machine) {
-        std::vector<std::uint64_t> ceiling_totals(total_ceilings, 0);
-        for (const auto &block : ceiling_counts)
-            for (std::size_t k = 0; k < total_ceilings; ++k)
-                ceiling_totals[k] += block[k];
-        result.probComputeCeilingBinds.resize(compute_ceilings);
-        result.probMemoryCeilingBinds.resize(total_ceilings -
-                                             compute_ceilings);
-        for (std::size_t k = 0; k < total_ceilings; ++k) {
-            const double prob =
-                survivors > 0
-                    ? static_cast<double>(ceiling_totals[k]) /
-                          static_cast<double>(survivors)
-                    : 0.0;
-            if (k < compute_ceilings)
-                result.probComputeCeilingBinds[k] = prob;
-            else
-                result.probMemoryCeilingBinds[k - compute_ceilings] =
-                    prob;
-        }
-    }
-    if (stage_path) {
-        std::vector<std::uint64_t> stage_totals(_stageCount * 3, 0);
-        for (const auto &block : stage_counts)
-            for (std::size_t k = 0; k < stage_totals.size(); ++k)
-                stage_totals[k] += block[k];
-        result.stageBindings.resize(_stageCount);
-        for (std::size_t s = 0; s < _stageCount; ++s) {
-            StageBindingStats &stats = result.stageBindings[s];
-            stats.stage = _stageNames[s];
-            const double denom =
-                survivors > 0 ? static_cast<double>(survivors) : 1.0;
-            stats.probComputeBound =
-                static_cast<double>(stage_totals[s * 3 + 0]) / denom;
-            stats.probMemoryBound =
-                static_cast<double>(stage_totals[s * 3 + 1]) / denom;
-            stats.probMeasured =
-                static_cast<double>(stage_totals[s * 3 + 2]) / denom;
-        }
-    }
-
-    if (survivors > 0) {
-        std::vector<double> surviving;
-        surviving.reserve(survivors);
-        for (std::size_t i = 0; i < count; ++i) {
-            if (!aborted[i])
-                surviving.push_back(v_safe[i]);
-        }
-        result.safeVelocity =
-            sim::Distribution::fromSamples(std::move(surviving));
-    }
-    return result;
+    return reference(thresholds(_spec.probabilityScale), count, seed,
+                     parallel);
 }
 
 std::vector<DegradationPoint>
@@ -1237,27 +926,49 @@ FaultCampaign::degradationCurve(
 {
     if (levels < 2)
         throw ModelError("degradation curve needs >= 2 levels");
+    if (samples_per_level < 10)
+        throw ModelError("fault campaign needs >= 10 samples");
 
+    // The same seed at every level, and one draw per fault whether
+    // or not it fires, so every level sees the same uniforms and
+    // severity is the only mover: one pass compares each uniform
+    // against every level's threshold. A pass holds at most
+    // 2^maxFaults counters per slot.
+    const std::size_t masks = std::size_t{1} << _spec.faults.size();
+    const std::size_t group = std::max<std::size_t>(
+        1, (std::size_t{1} << maxFaults) / masks);
+
+    const auto scale_at = [&](std::size_t level) {
+        return static_cast<double>(level) /
+               static_cast<double>(levels - 1);
+    };
     std::vector<DegradationPoint> curve;
     curve.reserve(levels);
-    for (std::size_t level = 0; level < levels; ++level) {
-        const double scale =
-            static_cast<double>(level) /
-            static_cast<double>(levels - 1);
-        CampaignSpec scaled = _spec;
-        scaled.probabilityScale = _spec.probabilityScale * scale;
-        const FaultCampaign campaign(std::move(scaled));
-        // The same seed at every level, so the curve varies only
-        // with severity, not with resampling noise.
-        const CampaignResult result =
-            campaign.run(samples_per_level, seed, parallel);
-        DegradationPoint point;
-        point.scale = scale;
-        point.meanSafeVelocity = result.safeVelocity.mean;
-        point.p5SafeVelocity = result.safeVelocity.p5;
-        point.p95SafeVelocity = result.safeVelocity.p95;
-        point.abortProbability = result.abortProbability;
-        curve.push_back(point);
+    for (std::size_t first = 0; first < levels; first += group) {
+        const std::size_t last = std::min(levels, first + group);
+        std::vector<std::vector<double>> level_thresholds;
+        std::vector<double> flat;
+        for (std::size_t level = first; level < last; ++level) {
+            level_thresholds.push_back(
+                thresholds(_spec.probabilityScale * scale_at(level)));
+            flat.insert(flat.end(), level_thresholds.back().begin(),
+                        level_thresholds.back().end());
+        }
+        const std::vector<std::uint64_t> counts = sampleOutcomes(
+            flat, last - first, samples_per_level, seed, parallel);
+        for (std::size_t level = first; level < last; ++level) {
+            const std::size_t row = level - first;
+            const CampaignResult result = fromHistogram(
+                counts.data() + row * masks, level_thresholds[row],
+                samples_per_level, seed, parallel);
+            DegradationPoint point;
+            point.scale = scale_at(level);
+            point.meanSafeVelocity = result.safeVelocity.mean;
+            point.p5SafeVelocity = result.safeVelocity.p5;
+            point.p95SafeVelocity = result.safeVelocity.p95;
+            point.abortProbability = result.abortProbability;
+            curve.push_back(point);
+        }
     }
     return curve;
 }

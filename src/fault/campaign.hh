@@ -13,16 +13,17 @@
  * Determinism follows the PR-1 contract exactly as
  * sim::MonteCarloAnalyzer does: samples come in fixed-size blocks,
  * each drawing from its own Rng::fork() substream keyed by block
- * index, every sample draws exactly one uniform per fault spec
- * (whether or not the fault activates), and per-block tallies merge
- * in block order — so a campaign is bit-identical for a given seed
- * at any thread count.
+ * index, and every sample draws exactly one uniform per fault spec
+ * (whether or not the fault activates). A sample's outcome depends
+ * only on which faults fired, so a campaign is summarized from an
+ * integer histogram over the 2^faults activation masks — exact to
+ * merge in any order, so bit-identical for a given seed at any
+ * thread count, in memory independent of the sample count.
  *
  * All degraded platform variants (one per subset of platform-layer
  * faults) and pipeline variants (per subset of workload-layer
  * faults) are precomputed at construction, where configuration
- * errors surface with full messages; the sampling loop itself is
- * table lookups and never throws.
+ * errors surface with full messages.
  */
 
 #ifndef UAVF1_FAULT_CAMPAIGN_HH
@@ -83,7 +84,8 @@ struct CampaignSpec
     pipeline::RedundancyScheme redundancy =
         pipeline::RedundancyScheme::None;
 
-    /** Fault modes to sample; at most 8 per layer. */
+    /** Fault modes to sample; at most 16 in total and 8 per
+     * platform or pipeline layer. */
     std::vector<FaultSpec> faults;
 
     /**
@@ -149,13 +151,14 @@ class FaultCampaign
   public:
     /**
      * Construct for a spec; validates every fault against the
-     * configuration and precomputes all degraded variants so run()
-     * never throws.
+     * configuration and precomputes all degraded variants, so an
+     * outcome is table lookups plus one F1 analysis.
      *
      * @throws ModelError on an invalid fault spec, a platform/
      *         pipeline fault without its layer configured, an
-     *         unknown stage name, an out-of-range ceiling index, or
-     *         more than 8 faults in one layer
+     *         unknown stage name, an out-of-range ceiling index,
+     *         more than maxFaults faults in total, or more than 8
+     *         in the platform or pipeline layer
      */
     explicit FaultCampaign(CampaignSpec spec);
 
@@ -183,13 +186,13 @@ class FaultCampaign
         const exec::ParallelOptions &parallel = {}) const;
 
     /**
-     * Mission-at-a-time reference implementation. run() collapses
-     * the per-sample outcome into precomputed (platform mask,
-     * pipeline mask) pair tables and batched SoA kernels; this is
-     * the original scalar loop, kept as the bit-identity oracle for
-     * the property tests and the baseline side of the perf benches.
-     * For any (spec, count, seed) the two return bit-identical
-     * results.
+     * Mission-at-a-time reference implementation: evaluates every
+     * sample's outcome through the F1 model, where run() counts
+     * activation masks and evaluates each occupied one once. Kept
+     * as the oracle for the property tests and the baseline side of
+     * the perf benches. Survivors are summarized through
+     * Distribution::fromCounts, so for any (spec, count, seed) the
+     * two return bit-identical results.
      */
     CampaignResult
     runReference(std::size_t count, std::uint64_t seed = 1,
@@ -199,7 +202,10 @@ class FaultCampaign
      * The graceful-degradation curve: run() at `levels` linearly
      * spaced severity scales in [0, 1] (each scaling the spec's own
      * probabilityScale), the same seed at every level so the curve
-     * varies only with severity.
+     * varies only with severity. Every level sees the same uniforms,
+     * so one sampling pass builds every level's histogram (levels
+     * are grouped so a pass holds at most 2^maxFaults counters per
+     * thread); each point equals run() of the scaled spec exactly.
      *
      * @param levels number of curve points (>= 2)
      * @param samples_per_level missions per point (>= 10)
@@ -212,6 +218,10 @@ class FaultCampaign
 
     /** Samples per RNG substream block (the determinism grain). */
     static constexpr std::size_t sampleBlock = 2048;
+
+    /** Most faults one campaign accepts: a sample's outcome is one
+     * activation mask of this many bits. */
+    static constexpr std::size_t maxFaults = 16;
 
   private:
     /** Outcome of one subset of platform-layer faults. */
@@ -229,34 +239,77 @@ class FaultCampaign
         double throughputHz = 0.0; ///< Hz, when not aborting.
     };
 
+    /** Flat-slot sentinel: no ceiling attributed (for a stage,
+     * its latency is measurement-sourced). */
+    static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
+
+    /** What one joint activation mask leads to. */
+    struct Outcome
+    {
+        bool aborts = false;
+        double safeVelocity = 0.0; ///< m/s, when surviving.
+        /** Binding ceiling as a flat slot (compute ceilings first),
+         * or noSlot. */
+        std::uint32_t ceilingSlot = noSlot;
+        std::size_t platformMask = 0; ///< Row of the stage tables.
+    };
+
+    /** Integer tallies plus surviving v_safe (defined in .cc). */
+    struct Tally;
+
     void precomputePlatformVariants();
     void precomputePipelineVariants();
 
     /**
-     * The scalar per-sample loop over samples [lo, hi) of one RNG
-     * block — the reference semantics run() falls back to when a
-     * kernel validation flag trips, and everything runReference()
-     * executes. Tally pointers may be null when the matching layer
-     * is unconfigured.
+     * The scalar outcome of joint activation mask `mask` (bit j =
+     * fault j fired): the variant and stage tables, the sensor
+     * derates folded in fault order, and F1Model::analyzeInto.
+     *
+     * @throws ModelError when the degraded inputs fail F1
+     *         validation
      */
-    void scalarSamples(const std::vector<double> &effective_prob,
-                       const pipeline::ModularRedundancy &redundancy,
-                       std::size_t compute_ceilings, std::size_t lo,
-                       std::size_t hi, Rng &rng, double *v_safe,
-                       unsigned char *aborted,
-                       std::uint64_t &abort_count,
-                       std::uint64_t *activation_counts,
-                       std::uint64_t *ceiling_counts,
-                       std::uint64_t *stage_counts) const;
+    Outcome outcome(std::uint64_t mask,
+                    const pipeline::ModularRedundancy &redundancy) const;
 
-    /** Stage-slot sentinel: measurement-sourced, no ceiling. */
-    static constexpr std::uint32_t measuredSlot = ~std::uint32_t{0};
+    Tally emptyTally() const;
+    /** Count `n` samples of `mask` with outcome `outcome`. */
+    void add(Tally &tally, std::uint64_t mask, const Outcome &outcome,
+             std::uint64_t n) const;
+    CampaignResult summarize(Tally tally, std::size_t count) const;
+
+    /** Per-fault activation thresholds at a severity scale. */
+    std::vector<double> thresholds(double probability_scale) const;
+
+    /**
+     * One sampling pass: `levels` rows of thresholds (level-major,
+     * one per fault) are compared against the same uniforms, and
+     * the result is each level's 2^faults mask histogram, level
+     * after level.
+     */
+    std::vector<std::uint64_t>
+    sampleOutcomes(const std::vector<double> &thresholds,
+                   std::size_t levels, std::size_t count,
+                   std::uint64_t seed,
+                   const exec::ParallelOptions &parallel) const;
+
+    /** Summarize one level's histogram; falls back to reference()
+     * when an occupied outcome throws. */
+    CampaignResult
+    fromHistogram(const std::uint64_t *counts,
+                  const std::vector<double> &threshold,
+                  std::size_t count, std::uint64_t seed,
+                  const exec::ParallelOptions &parallel) const;
+
+    /** The per-sample loop behind runReference(). */
+    CampaignResult reference(const std::vector<double> &threshold,
+                             std::size_t count, std::uint64_t seed,
+                             const exec::ParallelOptions &parallel) const;
 
     CampaignSpec _spec;
-    /** Fault indices by layer (order preserved within each). */
+    /** Platform- and pipeline-layer fault indices (order preserved
+     * within each); sensor faults fold in directly by index. */
     std::vector<std::size_t> _platformFaults;
     std::vector<std::size_t> _pipelineFaults;
-    std::vector<std::size_t> _sensorFaults;
     /** Variant tables indexed by the layer's activation mask. */
     std::vector<PlatformVariant> _platformVariants;
     std::vector<PipelineVariant> _pipelineVariants;
@@ -265,7 +318,7 @@ class FaultCampaign
      * both platform and pipeline are configured. _stageBase holds
      * each platform variant's evaluated per-stage latency (seconds)
      * and _stageSlot its binding — a flat ceiling slot (compute
-     * ceilings first) or measuredSlot — both indexed
+     * ceilings first) or noSlot — both indexed
      * [platform_mask * _stageCount + stage]. _stageInflation holds
      * each pipeline variant's per-stage latency-inflation product,
      * indexed [pipeline_mask * _stageCount + stage]. A sample's

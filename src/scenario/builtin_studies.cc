@@ -1082,8 +1082,15 @@ runFaultsStudy(const StudyContext &ctx)
     }
     const auto samples = ctx.params.getCount("samples", 4096);
     const auto levels = ctx.params.getCount("levels", 9);
-    const auto seed = static_cast<std::uint64_t>(
-        ctx.params.getNumber("seed", 1.0));
+    const double seed_value = ctx.params.getNumber("seed", 1.0);
+    if (seed_value < 0.0 || seed_value > StudyParams::maxExactInteger ||
+        seed_value != std::floor(seed_value)) {
+        throw ModelError(
+            "parameter 'seed' must be an integer in [0, "
+            "9007199254740992], got '" +
+            ctx.params.get("seed") + "'");
+    }
+    const auto seed = static_cast<std::uint64_t>(seed_value);
 
     // Any stage-resolved fault — workload-layer latency/failure or
     // the stage-scoped platform kinds — needs the SPA pipeline

@@ -90,6 +90,12 @@ StudyParams::getCount(const std::string &name,
                          "' expects a positive integer, got '" +
                          get(name) + "'");
     }
+    // Checked before the cast: converting a double above the
+    // target's range is undefined behaviour.
+    if (parsed > maxExactInteger) {
+        throw ModelError("parameter '" + canonicalKey(name) +
+                         "' must be <= 9007199254740992");
+    }
     return static_cast<std::size_t>(parsed);
 }
 

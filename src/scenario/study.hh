@@ -50,10 +50,15 @@ class StudyParams
      */
     double getNumber(const std::string &name, double fallback) const;
 
+    /** Largest integer parameter accepted (2^53: every integer up
+     * to it is exact in the double the value parses through). */
+    static constexpr double maxExactInteger = 9007199254740992.0;
+
     /**
      * Positive integer value, or `fallback` when unset.
      *
-     * @throws ModelError when the value does not parse or is < 1
+     * @throws ModelError when the value does not parse, is < 1, or
+     *         is above maxExactInteger
      */
     std::size_t getCount(const std::string &name,
                          std::size_t fallback) const;

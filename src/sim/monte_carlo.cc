@@ -32,6 +32,45 @@
 
 namespace uavf1::sim {
 
+namespace {
+
+/** The (lo, lo + 1) rank pairs bracketing p5/p50/p95 of n sorted
+ * values, and each percentile's interpolation fraction. */
+struct PercentileRanks
+{
+    std::array<std::size_t, 6> ranks{};
+    std::array<double, 3> fracs{};
+
+    explicit PercentileRanks(std::size_t n)
+    {
+        for (std::size_t i = 0; i < 3; ++i) {
+            constexpr double kPercentiles[3] = {5.0, 50.0, 95.0};
+            const double rank = kPercentiles[i] / 100.0 *
+                                static_cast<double>(n - 1);
+            const std::size_t lo = static_cast<std::size_t>(rank);
+            ranks[2 * i] = lo;
+            ranks[2 * i + 1] = std::min(lo + 1, n - 1);
+            fracs[i] = rank - static_cast<double>(lo);
+        }
+    }
+
+    /** Fill p5/p50/p95 from the six order statistics. */
+    void interpolate(const std::array<double, 6> &stat,
+                     Distribution &out) const
+    {
+        const auto at = [&](std::size_t i) {
+            const double lo = stat[2 * i];
+            const double hi = stat[2 * i + 1];
+            return lo + fracs[i] * (hi - lo);
+        };
+        out.p5 = at(0);
+        out.p50 = at(1);
+        out.p95 = at(2);
+    }
+};
+
+} // namespace
+
 Distribution
 Distribution::fromSamples(std::vector<double> samples)
 {
@@ -52,17 +91,8 @@ Distribution::fromSamples(std::vector<double> samples)
 
     // Only six order statistics are needed — the (lo, lo + 1)
     // pairs bracketing p5/p50/p95.
-    std::array<std::size_t, 6> ranks{};
-    std::array<double, 3> fracs{};
-    for (std::size_t i = 0; i < 3; ++i) {
-        constexpr double kPercentiles[3] = {5.0, 50.0, 95.0};
-        const double rank = kPercentiles[i] / 100.0 *
-                            static_cast<double>(n - 1);
-        const std::size_t lo = static_cast<std::size_t>(rank);
-        ranks[2 * i] = lo;
-        ranks[2 * i + 1] = std::min(lo + 1, n - 1);
-        fracs[i] = rank - static_cast<double>(lo);
-    }
+    const PercentileRanks percentiles(n);
+    const std::array<std::size_t, 6> &ranks = percentiles.ranks;
 
     std::array<double, 6> stat{};
     if (n < 64) {
@@ -101,14 +131,69 @@ Distribution::fromSamples(std::vector<double> samples)
         stat[5] = ranks[5] == h ? stat[4] : minOver(h + 1, n);
     }
 
-    auto interpolate = [&](std::size_t i) {
-        const double lo = stat[2 * i];
-        const double hi = stat[2 * i + 1];
-        return lo + fracs[i] * (hi - lo);
-    };
-    out.p5 = interpolate(0);
-    out.p50 = interpolate(1);
-    out.p95 = interpolate(2);
+    percentiles.interpolate(stat, out);
+    return out;
+}
+
+Distribution
+Distribution::fromCounts(
+    std::vector<std::pair<double, std::uint64_t>> counts)
+{
+    // Sort and merge equal values first, so every sum below runs
+    // over the multiset in one canonical order.
+    for (const auto &entry : counts) {
+        if (std::isnan(entry.first))
+            throw ModelError("distribution values must not be NaN");
+    }
+    std::sort(counts.begin(), counts.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first < b.first;
+              });
+    std::size_t distinct = 0;
+    std::uint64_t n = 0;
+    for (const auto &entry : counts) {
+        if (entry.second == 0)
+            continue;
+        n += entry.second;
+        if (distinct > 0 && counts[distinct - 1].first == entry.first)
+            counts[distinct - 1].second += entry.second;
+        else
+            counts[distinct++] = entry;
+    }
+    counts.resize(distinct);
+    if (n == 0)
+        throw ModelError("distribution requires samples");
+
+    Distribution out;
+    double sum = 0.0;
+    for (const auto &[value, count] : counts)
+        sum += value * static_cast<double>(count);
+    out.mean = sum / static_cast<double>(n);
+    double var = 0.0;
+    for (const auto &[value, count] : counts)
+        var += static_cast<double>(count) * ((value - out.mean) *
+                                             (value - out.mean));
+    out.stddev =
+        n > 1 ? std::sqrt(var / static_cast<double>(n - 1)) : 0.0;
+
+    // Walk the cumulative counts to each rank: sorted positions
+    // [0, through) hold the values up to counts[value].first. The
+    // walk restarts when a rank falls behind the previous one (a
+    // lo + 1 rank can pass the next percentile's lo on tiny n).
+    const PercentileRanks percentiles(static_cast<std::size_t>(n));
+    std::array<double, 6> stat{};
+    std::size_t value = 0;
+    std::uint64_t through = counts[0].second;
+    for (std::size_t i = 0; i < 6; ++i) {
+        if (i > 0 && percentiles.ranks[i] < percentiles.ranks[i - 1]) {
+            value = 0;
+            through = counts[0].second;
+        }
+        while (percentiles.ranks[i] >= through)
+            through += counts[++value].second;
+        stat[i] = counts[value].first;
+    }
+    percentiles.interpolate(stat, out);
     return out;
 }
 

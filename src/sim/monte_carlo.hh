@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/f1_model.hh"
@@ -90,6 +91,22 @@ struct Distribution
 
     /** Compute the summary from raw samples (consumes order). */
     static Distribution fromSamples(std::vector<double> samples);
+
+    /**
+     * The same summary from (value, multiplicity) pairs — a
+     * histogram of the samples. p5/p50/p95 use fromSamples' ranks
+     * and interpolation, so they equal it exactly on the expanded
+     * multiset. Values are sorted and equal values merged before
+     * any arithmetic, and mean/stddev are count-weighted sums in
+     * ascending value order: the result depends only on the
+     * multiset, and agrees with fromSamples' sample-order sums to
+     * rounding (ULP level). Zero counts are ignored.
+     *
+     * @throws ModelError when the counts sum to zero or a value is
+     *         NaN
+     */
+    static Distribution
+    fromCounts(std::vector<std::pair<double, std::uint64_t>> counts);
 };
 
 /** Monte-Carlo outputs. */

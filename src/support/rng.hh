@@ -85,6 +85,18 @@ class Rng
     /** Fork an independent substream (for per-trial determinism). */
     Rng fork();
 
+    /**
+     * The substream the (k+1)-th of successive fork() calls would
+     * return, without advancing this stream: forkAt(0) is fork(),
+     * and a block sampler can derive block k's substream in O(1)
+     * instead of storing one per block. (fork() consumes one draw,
+     * and draw k is a pure function of state + (k+1) * increment.)
+     */
+    Rng forkAt(std::uint64_t k) const
+    {
+        return Rng(_state + k * 0x9e3779b97f4a7c15ull).fork();
+    }
+
   private:
     std::uint64_t _state;
     bool _haveSpare = false;

@@ -558,7 +558,7 @@ campaignSpecs()
     specs.push_back(staged);
 
     // Combined platform + pipeline + sensor: every layer at once,
-    // exercising the per-stage path's pair tables.
+    // exercising the per-stage tables of every layer.
     fault::CampaignSpec combined = staged;
     const auto algorithms = workload::annotatedAlgorithms();
     const auto &spa = algorithms.byName("SPA package delivery");

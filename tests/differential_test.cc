@@ -8,15 +8,17 @@
  * exact agreement across all four evaluation paths:
  *
  *   1. the scalar per-mission reference (runReference),
- *   2. the batched pair-table path (run),
+ *   2. the outcome-histogram path (run),
  *   3. both of the above with the SIMD kernels forced to the
  *      width-1 scalar backend (the in-process equivalent of
  *      UAVF1_SIMD=scalar),
  *
  * including which sample's ModelError throws first: a path that
  * throws must be matched by every other path throwing the same
- * message, so the batch kernels' rescan-on-failure contract is
- * pinned along with the happy path.
+ * message, so run()'s fall-back-to-the-scalar-loop contract is
+ * pinned along with the happy path. Each tuple's one-pass
+ * degradation curve is also pinned, point by point, against the
+ * reference of the spec scaled to each level.
  *
  * Adding a case: extend one of the pools below (platforms, suites,
  * sample-count spreads) — every tuple is derived from the master
@@ -149,6 +151,44 @@ expectSameOutcome(const PathOutcome &a, const PathOutcome &b,
         expectBitIdentical(a.result, b.result, label);
 }
 
+/**
+ * The one-pass degradation curve at 2, 3 and 5 levels: every point
+ * must equal runReference() of the campaign rebuilt with its
+ * probabilityScale scaled to that level, exactly.
+ */
+void
+expectCurveMatchesScaledReferences(
+    const FaultCampaign &campaign, std::size_t count,
+    std::uint64_t seed, const exec::ParallelOptions &parallel,
+    const std::string &label)
+{
+    for (const std::size_t levels : {2u, 3u, 5u}) {
+        const std::vector<DegradationPoint> curve =
+            campaign.degradationCurve(levels, count, seed, parallel);
+        ASSERT_EQ(curve.size(), levels) << label;
+        for (std::size_t level = 0; level < levels; ++level) {
+            const DegradationPoint &point = curve[level];
+            CampaignSpec scaled = campaign.spec();
+            scaled.probabilityScale =
+                campaign.spec().probabilityScale * point.scale;
+            const CampaignResult expected =
+                FaultCampaign(std::move(scaled))
+                    .runReference(count, seed, parallel);
+            const std::string where =
+                label + " [curve " + std::to_string(level) + "/" +
+                std::to_string(levels) + "]";
+            EXPECT_EQ(point.meanSafeVelocity, expected.safeVelocity.mean)
+                << where;
+            EXPECT_EQ(point.p5SafeVelocity, expected.safeVelocity.p5)
+                << where;
+            EXPECT_EQ(point.p95SafeVelocity, expected.safeVelocity.p95)
+                << where;
+            EXPECT_EQ(point.abortProbability, expected.abortProbability)
+                << where;
+        }
+    }
+}
+
 /** Pick an element of `pool` from the tuple generator. */
 template <typename T>
 const T &
@@ -225,7 +265,7 @@ TEST(Differential, TwoHundredRandomTuplesAgreeAcrossAllFourPaths)
         spec.probabilityScale =
             master.uniform() < 0.25 ? 1.0 : master.uniform();
 
-        // Odd counts exercise partial kernel sub-blocks; the wide
+        // Odd counts exercise partial draw batches; the wide
         // spread also crosses the 2048-sample RNG block boundary.
         const std::size_t count =
             51 + static_cast<std::size_t>(master.uniform() * 2400.0);
@@ -269,6 +309,9 @@ TEST(Differential, TwoHundredRandomTuplesAgreeAcrossAllFourPaths)
                           label + " [scalar-mode reference]");
         expectSameOutcome(reference, batched_scalar,
                           label + " [scalar-mode batch]");
+        if (!reference.threw)
+            expectCurveMatchesScaledReferences(campaign, count, seed,
+                                               parallel, label);
         ++compared;
         if (HasFatalFailure())
             return; // The label above names the failing tuple.
@@ -282,10 +325,11 @@ TEST(Differential, TwoHundredRandomTuplesAgreeAcrossAllFourPaths)
 
 TEST(Differential, FirstThrownErrorMatchesAcrossPaths)
 {
-    // A campaign that fails validation *inside* the sampling loop
-    // is impossible by construction (specs validate up front), so
-    // pin the error contract on the shape checks instead: every
-    // path must reject a too-small count with the same message.
+    // Once a spec with a well-formed baseline constructs, none of
+    // its outcomes can fail F1 validation, so run()'s fall-back to
+    // the scalar loop cannot happen with validated specs today; pin
+    // the error contract on the shape checks instead: every path
+    // must reject a too-small count with the same message.
     ModeGuard guard;
     const FaultCampaign campaign([] {
         const auto catalog = components::Catalog::standard();
@@ -313,6 +357,28 @@ TEST(Differential, FirstThrownErrorMatchesAcrossPaths)
         ASSERT_TRUE(batched.threw);
         EXPECT_EQ(reference.error, batched.error);
     }
+
+    // The one degenerate way in: a subnormal sensor rate passes
+    // construction (its own baseline already overflows to a NaN
+    // v_safe), and halving it rounds to exactly zero, which the F1
+    // model rejects. run() must rethrow the scalar loop's error.
+    CampaignSpec degenerate;
+    degenerate.nominal = studies::pelicanInputs(units::Hertz(20.0));
+    degenerate.nominal.sensorRate = units::Hertz(4.9e-324);
+    FaultSpec half;
+    half.name = "sensor stream half rate";
+    half.kind = FaultKind::SensorDropout;
+    half.probability = 0.5;
+    half.sensorDerate = 0.5;
+    degenerate.faults = {half};
+    const FaultCampaign fragile(degenerate);
+    const PathOutcome reference =
+        runPath(fragile, false, 300, 1, parallel);
+    const PathOutcome batched = runPath(fragile, true, 300, 1, parallel);
+    ASSERT_TRUE(reference.threw);
+    EXPECT_NE(reference.error.find("sensorRate"), std::string::npos)
+        << reference.error;
+    expectSameOutcome(reference, batched, "subnormal sensor rate");
 }
 
 } // namespace

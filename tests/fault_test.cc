@@ -11,10 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -530,6 +534,143 @@ TEST(FaultCampaign, ConstructorRejectsMisconfiguredCampaigns)
     EXPECT_THROW(campaign.degradationCurve(1, 100), ModelError);
 }
 
+TEST(FaultCampaign, AtMostSixteenFaultsInTotal)
+{
+    // Sensor faults have no per-layer cap, so only the total cap
+    // (one 16-bit activation mask per sample) stops a 17th.
+    CampaignSpec spec = tx2Campaign("none");
+    for (int i = 0; i < 16; ++i) {
+        FaultSpec sensor;
+        sensor.name = "sensor glitch " + std::to_string(i);
+        sensor.kind = FaultKind::SensorDropout;
+        sensor.probability = 0.01;
+        sensor.sensorDerate = 0.1;
+        spec.faults.push_back(sensor);
+    }
+    const FaultCampaign sixteen(spec);
+    const CampaignResult result = sixteen.run(3000, 5);
+    EXPECT_EQ(result.faultActivationRate.size(), 16u);
+    EXPECT_LT(result.safeVelocity.p5,
+              sixteen.baseline().safeVelocity.value());
+    const auto curve = sixteen.degradationCurve(3, 3000, 5);
+    EXPECT_EQ(curve.back().p5SafeVelocity, result.safeVelocity.p5);
+
+    spec.faults.push_back(spec.faults.front());
+    try {
+        FaultCampaign campaign(spec);
+        FAIL() << "17 faults accepted";
+    } catch (const ModelError &e) {
+        EXPECT_STREQ(e.what(), "fault campaign supports at most 16 "
+                               "faults in total, got 17");
+    }
+}
+
+/**
+ * Implementation-independent oracle: every activation vector of
+ * `faults` (bit j = fault j active) with its exact probability —
+ * faults fire independently at min(1, probability * scale).
+ */
+std::vector<std::pair<std::uint32_t, double>>
+activationVectors(const std::vector<FaultSpec> &faults, double scale)
+{
+    std::vector<std::pair<std::uint32_t, double>> out;
+    for (std::uint32_t v = 0; v < (1u << faults.size()); ++v) {
+        double prob = 1.0;
+        for (std::size_t j = 0; j < faults.size(); ++j) {
+            const double p =
+                std::min(1.0, faults[j].probability * scale);
+            prob *= (v >> j) & 1u ? p : 1.0 - p;
+        }
+        out.emplace_back(v, prob);
+    }
+    return out;
+}
+
+/** Whether activation vector `v` aborts the mission, from the
+ * fault model's stated rules alone: stage failures beyond the
+ * replica budget and full sensor dropouts abort; slowdowns, derates
+ * and throttles only degrade. */
+bool
+vectorAborts(const std::vector<FaultSpec> &faults, std::uint32_t v,
+             pipeline::RedundancyScheme redundancy)
+{
+    int failures = 0;
+    for (std::size_t j = 0; j < faults.size(); ++j) {
+        if (((v >> j) & 1u) == 0)
+            continue;
+        if (faults[j].kind == FaultKind::StageFailure)
+            ++failures;
+        if (faults[j].kind == FaultKind::SensorDropout &&
+            faults[j].sensorDerate >= 1.0)
+            return true;
+    }
+    return failures > pipeline::replicaCount(redundancy) - 1;
+}
+
+/** |sampled - exact| within 5 binomial sigmas at n trials. */
+void
+expectWithinFiveSigma(double sampled, double exact, std::size_t n,
+                      const std::string &label)
+{
+    const double sigma =
+        std::sqrt(exact * (1.0 - exact) / static_cast<double>(n));
+    EXPECT_LE(std::abs(sampled - exact), 5.0 * sigma)
+        << label << ": sampled " << sampled << ", exact " << exact;
+}
+
+TEST(FaultCampaign, SampledRatesMatchTheExactEnumeration)
+{
+    CampaignSpec mixed = tx2Campaign("mixed");
+    CampaignSpec stage = tx2Campaign("stage-failure");
+    stage.pipeline = workload::SpaPipeline::mavbenchPackageDeliveryTx2();
+    for (const auto redundancy : {pipeline::RedundancyScheme::None,
+                                  pipeline::RedundancyScheme::Dual}) {
+        for (CampaignSpec spec : {mixed, stage}) {
+            spec.redundancy = redundancy;
+            const FaultCampaign campaign(spec);
+            constexpr std::size_t n = 200000;
+            const CampaignResult result = campaign.run(n, 2026);
+            double exact_abort = 0.0;
+            std::vector<double> exact_rate(spec.faults.size(), 0.0);
+            for (const auto &[v, prob] :
+                 activationVectors(spec.faults,
+                                   spec.probabilityScale)) {
+                if (vectorAborts(spec.faults, v, redundancy))
+                    exact_abort += prob;
+                for (std::size_t j = 0; j < spec.faults.size(); ++j)
+                    if ((v >> j) & 1u)
+                        exact_rate[j] += prob;
+            }
+            const std::string label =
+                spec.faults.front().name + " suite, " +
+                pipeline::toString(redundancy);
+            expectWithinFiveSigma(result.abortProbability,
+                                  exact_abort, n, label + " abort");
+            for (std::size_t j = 0; j < spec.faults.size(); ++j)
+                expectWithinFiveSigma(result.faultActivationRate[j],
+                                      exact_rate[j], n,
+                                      label + " " +
+                                          spec.faults[j].name);
+        }
+    }
+    // The simplex SLAM failure aborts exactly when it fires.
+    stage.redundancy = pipeline::RedundancyScheme::None;
+    EXPECT_GT(FaultCampaign(stage).run(20000, 3).abortProbability,
+              0.15);
+
+    // No faults: every order statistic is the baseline exactly.
+    const FaultCampaign none(tx2Campaign("none"));
+    const CampaignResult clean = none.run(200000, 2026);
+    const double baseline = none.baseline().safeVelocity.value();
+    EXPECT_EQ(clean.abortProbability, 0.0);
+    EXPECT_EQ(clean.safeVelocity.p5, baseline);
+    EXPECT_EQ(clean.safeVelocity.p50, baseline);
+    EXPECT_EQ(clean.safeVelocity.p95, baseline);
+    // One (value, count) pair: the mean is v * n / n.
+    EXPECT_NEAR(clean.safeVelocity.mean, baseline, 1e-12 * baseline);
+    EXPECT_NEAR(clean.safeVelocity.stddev, 0.0, 1e-12 * baseline);
+}
+
 /** A TX2-CPU + Navion campaign with the mavbench pipeline: the
  * configuration where the stage-gated accelerator ceiling is in
  * play, so stage-scoped platform faults have a roof to demote. */
@@ -807,19 +948,32 @@ TEST(StageScopedFaults, DegradationCurveAtScaleZeroAndOne)
         EXPECT_EQ(point.p95SafeVelocity, baseline);
     }
 
-    // probabilityScale exactly 1: the top curve level reproduces
-    // run() at full severity, bit for bit (same seed, same scale).
+    // probabilityScale exactly 1: every curve level reproduces run()
+    // of the spec scaled to that level, bit for bit (same seed), and
+    // the top level is run() at full severity.
     CampaignSpec full = navionStageCampaign({ecc});
     full.probabilityScale = 1.0;
     const FaultCampaign at_one(full);
     const auto curve = at_one.degradationCurve(3, 500, 11);
-    const CampaignResult top = at_one.run(500, 11);
     ASSERT_EQ(curve.size(), 3u);
     EXPECT_EQ(curve.front().p95SafeVelocity, baseline);
     EXPECT_EQ(curve.back().scale, 1.0);
+    for (const DegradationPoint &point : curve) {
+        CampaignSpec scaled = full;
+        scaled.probabilityScale = full.probabilityScale * point.scale;
+        const CampaignResult level =
+            FaultCampaign(scaled).run(500, 11);
+        EXPECT_EQ(point.meanSafeVelocity, level.safeVelocity.mean)
+            << point.scale;
+        EXPECT_EQ(point.p5SafeVelocity, level.safeVelocity.p5)
+            << point.scale;
+        EXPECT_EQ(point.p95SafeVelocity, level.safeVelocity.p95)
+            << point.scale;
+        EXPECT_EQ(point.abortProbability, level.abortProbability)
+            << point.scale;
+    }
+    const CampaignResult top = at_one.run(500, 11);
     EXPECT_EQ(curve.back().meanSafeVelocity, top.safeVelocity.mean);
-    EXPECT_EQ(curve.back().p5SafeVelocity, top.safeVelocity.p5);
-    EXPECT_EQ(curve.back().p95SafeVelocity, top.safeVelocity.p95);
     EXPECT_EQ(curve.back().abortProbability, top.abortProbability);
 }
 
@@ -837,10 +991,9 @@ TEST(StageScopedFaults, StandardSuitesRunBitIdenticalAcrossThreads)
     for (const char *suite : {"ecc-fallback", "cache-contention"}) {
         const FaultCampaign campaign(
             navionStageCampaign(findFaultSuite(suite).faults));
-        // Spans two full RNG blocks plus a >64-sample partial block
-        // (2148 = 2048 + 100 = 2048 + 64 + 36), so partial kernel
-        // sub-blocks run through the batch path at every thread
-        // count.
+        // Spans two full RNG blocks plus a partial one (4196 =
+        // 2 * 2048 + 100), so a partial draw batch runs at every
+        // thread count.
         const std::size_t count = 4196;
         const CampaignResult serial = campaign.run(count, 17, on1);
         expectBitIdentical(serial, campaign.run(count, 17, on2));

@@ -128,6 +128,21 @@ TEST(Params, NumbersCountsAndErrors)
     params.set("neg", "-3");
     EXPECT_THROW(params.getCount("neg", 1), ModelError);
 
+    // 2^53 is the largest accepted count; anything above is rejected
+    // by name before the double -> size_t cast.
+    params.set("edge", "9007199254740992");
+    EXPECT_EQ(params.getCount("edge", 1), std::size_t{1} << 53);
+    for (const char *value : {"1e20", "9007199254740994", "1e300"}) {
+        params.set("samples", value);
+        try {
+            (void)params.getCount("samples", 1);
+            ADD_FAILURE() << value << " accepted";
+        } catch (const ModelError &e) {
+            EXPECT_STREQ(e.what(), "parameter 'samples' must be <= "
+                                   "9007199254740992");
+        }
+    }
+
     // set() overwrites in place rather than duplicating.
     params.set("sweep_samples", "32");
     EXPECT_EQ(params.getCount("sweep_samples", 10), 32u);
@@ -665,6 +680,45 @@ TEST(Runner, FaultsStudyRejectsOutOfRangeParams)
         << failed.error;
     EXPECT_NE(failed.error.find("dual"), std::string::npos)
         << failed.error;
+}
+
+TEST(Runner, FaultsStudyRejectsCountsAndSeedsOutsideTheExactRange)
+{
+    // Integer parameters reach size_t/uint64 through a double; a
+    // value outside the target range must be a named error before
+    // the cast, not undefined behaviour.
+    ScenarioSpec spec;
+    spec.study = "faults";
+    spec.overrides.set("samples", "64");
+    spec.overrides.set("levels", "2");
+    const ScenarioRunner runner;
+
+    ScenarioSpec huge = spec;
+    huge.overrides.set("samples", "1e20");
+    const ScenarioOutcome too_many = runner.run(huge);
+    EXPECT_FALSE(too_many.ok);
+    EXPECT_NE(too_many.error.find(
+                  "parameter 'samples' must be <= 9007199254740992"),
+              std::string::npos)
+        << too_many.error;
+
+    for (const char *seed : {"-1", "nan", "1e30", "2.5"}) {
+        ScenarioSpec bad = spec;
+        bad.overrides.set("seed", seed);
+        const ScenarioOutcome failed = runner.run(bad);
+        EXPECT_FALSE(failed.ok) << seed;
+        EXPECT_NE(failed.error.find("parameter 'seed'"),
+                  std::string::npos)
+            << seed << ": " << failed.error;
+    }
+
+    // Both ends of the accepted seed range run.
+    for (const char *seed : {"0", "9007199254740992"}) {
+        ScenarioSpec edge = spec;
+        edge.overrides.set("seed", seed);
+        const ScenarioOutcome outcome = runner.run(edge);
+        EXPECT_TRUE(outcome.ok) << seed << ": " << outcome.error;
+    }
 }
 
 TEST(Runner, DeadlineTimesOutAnOverrunningScenario)

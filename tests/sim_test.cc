@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "components/catalog.hh"
 #include "exec/thread_pool.hh"
@@ -19,6 +23,7 @@
 #include "sim/vehicle.hh"
 #include "studies/presets.hh"
 #include "support/errors.hh"
+#include "support/rng.hh"
 
 namespace {
 
@@ -402,6 +407,107 @@ TEST(MonteCarloCeilings, ValidatesThePlatformPathUpFront)
     spec = ceilingSpec();
     spec.aiRelStd = -0.1;
     EXPECT_THROW(MonteCarloAnalyzer{spec}, ModelError);
+}
+
+/** `samples` as (value, count) pairs: grouped, with one value's
+ * count split across two pairs and a zero-count pair mixed in, in
+ * an order scrambled by `rng` — fromCounts must merge all of it. */
+std::vector<std::pair<double, std::uint64_t>>
+histogramOf(const std::vector<double> &samples, Rng &rng)
+{
+    std::map<double, std::uint64_t> grouped;
+    for (const double v : samples)
+        ++grouped[v];
+    std::vector<std::pair<double, std::uint64_t>> pairs(
+        grouped.begin(), grouped.end());
+    if (pairs.front().second > 1) {
+        --pairs.front().second;
+        pairs.emplace_back(pairs.front().first, 1);
+    }
+    pairs.emplace_back(samples.front() + 1.0, 0);
+    for (std::size_t i = pairs.size(); i > 1; --i) {
+        const auto j = static_cast<std::size_t>(
+            rng.uniform() * static_cast<double>(i));
+        std::swap(pairs[i - 1], pairs[std::min(j, i - 1)]);
+    }
+    return pairs;
+}
+
+TEST(Distribution, FromCountsMatchesFromSamplesOnRandomMultisets)
+{
+    Rng rng(20260417);
+    // n < 64 takes fromSamples' sort path, n >= 64 its selection
+    // path; 21, 41, 101 and 201 put the 5%/95% ranks on exact
+    // integers (no interpolation), the rest between two ranks.
+    const std::vector<std::size_t> sizes = {
+        1, 2, 3, 7, 20, 21, 41, 63, 64, 65, 100, 101, 201, 1000,
+        4097};
+    int checked = 0;
+    for (const std::size_t n : sizes) {
+        for (int shape = 0; shape < 3; ++shape) {
+            for (int trial = 0; trial < 4; ++trial) {
+                // Shapes: continuous values, heavy ties over three
+                // values, a single distinct value.
+                const double pool[3] = {4.25 + rng.uniform(),
+                                        9.5 + rng.uniform(),
+                                        0.5 + rng.uniform()};
+                std::vector<double> samples(n);
+                for (double &v : samples) {
+                    if (shape == 0)
+                        v = 10.0 * rng.uniform() - 2.0;
+                    else if (shape == 1)
+                        v = pool[static_cast<std::size_t>(
+                            rng.uniform() * 2.999)];
+                    else
+                        v = pool[0];
+                }
+                const auto pairs = histogramOf(samples, rng);
+                const Distribution expected =
+                    Distribution::fromSamples(samples);
+                const Distribution got =
+                    Distribution::fromCounts(pairs);
+                const std::string label =
+                    "n=" + std::to_string(n) + " shape " +
+                    std::to_string(shape);
+                EXPECT_EQ(got.p5, expected.p5) << label;
+                EXPECT_EQ(got.p50, expected.p50) << label;
+                EXPECT_EQ(got.p95, expected.p95) << label;
+                // Sums run in a different order, so only to rounding
+                // (relative to the data's magnitude: a constant
+                // multiset's stddev is rounding noise around 0).
+                const double scale = std::max(
+                    std::abs(expected.mean), std::abs(expected.p95));
+                EXPECT_NEAR(got.mean, expected.mean, 1e-12 * scale)
+                    << label;
+                EXPECT_NEAR(got.stddev, expected.stddev,
+                            1e-12 * scale)
+                    << label;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, static_cast<int>(sizes.size()) * 12);
+}
+
+TEST(Distribution, FromCountsDependsOnlyOnTheMultiset)
+{
+    const std::vector<std::pair<double, std::uint64_t>> a = {
+        {3.0, 5}, {1.0, 2}, {2.0, 0}, {3.0, 1}, {0.5, 7}};
+    const std::vector<std::pair<double, std::uint64_t>> b = {
+        {0.5, 3}, {3.0, 6}, {0.5, 4}, {1.0, 2}};
+    const Distribution da = Distribution::fromCounts(a);
+    const Distribution db = Distribution::fromCounts(b);
+    EXPECT_EQ(da.mean, db.mean);
+    EXPECT_EQ(da.stddev, db.stddev);
+    EXPECT_EQ(da.p5, db.p5);
+    EXPECT_EQ(da.p50, db.p50);
+    EXPECT_EQ(da.p95, db.p95);
+    EXPECT_EQ(da.p50, 1.0); // 15 samples: rank 7 is the 1.0 pair.
+
+    EXPECT_THROW(Distribution::fromCounts({}), ModelError);
+    EXPECT_THROW(Distribution::fromCounts({{1.0, 0}}), ModelError);
+    EXPECT_THROW(Distribution::fromCounts({{std::nan(""), 1}}),
+                 ModelError);
 }
 
 } // namespace

@@ -129,6 +129,23 @@ TEST(Rng, ForkProducesIndependentStream)
     EXPECT_EQ(seen.size(), 64u);
 }
 
+TEST(Rng, ForkAtMatchesSuccessiveForks)
+{
+    Rng parent(20261017);
+    const Rng start = parent;
+    for (std::uint64_t k = 0; k < 5; ++k) {
+        Rng forked = parent.fork();
+        Rng direct = start.forkAt(k);
+        for (int i = 0; i < 4; ++i)
+            EXPECT_EQ(forked.nextU64(), direct.nextU64()) << k;
+    }
+    // forkAt leaves its own stream where it was.
+    Rng probe = start;
+    (void)probe.forkAt(3);
+    Rng fresh(20261017);
+    EXPECT_EQ(probe.nextU64(), fresh.nextU64());
+}
+
 TEST(Strings, StrFormat)
 {
     EXPECT_EQ(strFormat("%d-%s", 7, "x"), "7-x");
