@@ -35,6 +35,7 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -76,7 +77,8 @@ printDriverHelp()
         "                           empty string disables)\n"
         "  --label name             artifact label (single study)\n"
         "  --deadline-ms N          per-scenario time budget\n"
-        "                           (cooperative; 0 disables)\n"
+        "                           (cooperative; 0 disables;\n"
+        "                           at most 604800000 = 7 days)\n"
         "  --fail-fast              cancel remaining scenarios\n"
         "                           after the first failure\n");
 }
@@ -143,14 +145,20 @@ parseDriverOptions(int argc, char **argv, int first)
             }
             options.threads = static_cast<std::size_t>(parsed);
         } else if (arg == "--deadline-ms") {
+            // Capped (see --help) so the budget can never overflow
+            // the deadline clock.
+            constexpr long max_deadline_ms = 7L * 24 * 3600 * 1000;
             const std::string text = value("--deadline-ms");
             char *end = nullptr;
+            errno = 0;
             const long parsed = std::strtol(text.c_str(), &end, 10);
             if (end == text.c_str() || (end && *end != '\0') ||
-                parsed < 0) {
-                throw ModelError("--deadline-ms expects a "
-                                 "non-negative integer, got '" +
-                                 text + "'");
+                errno == ERANGE || parsed < 0 ||
+                parsed > max_deadline_ms) {
+                throw ModelError(
+                    "--deadline-ms expects an integer in [0, " +
+                    std::to_string(max_deadline_ms) +
+                    "] (7 days), got '" + text + "'");
             }
             options.deadlineMs = static_cast<std::size_t>(parsed);
         } else if (arg == "--fail-fast") {

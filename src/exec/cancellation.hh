@@ -51,15 +51,22 @@ class CancellationToken
      * Copy of this token whose deadline is `budget` from now. The
      * cancel flag stays shared with the source (an inert source
      * yields a deadline-only token); a non-positive budget yields a
-     * plain copy with no deadline.
+     * plain copy with no deadline. A budget past the clock's range
+     * saturates at the latest representable time point (a deadline
+     * that never expires) instead of overflowing.
      */
     CancellationToken
     withDeadlineAfter(std::chrono::milliseconds budget) const
     {
+        using Clock = std::chrono::steady_clock;
         CancellationToken token = *this;
         if (budget.count() > 0) {
+            const Clock::time_point now = Clock::now();
+            const auto room =
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    Clock::time_point::max() - now);
             token._deadline =
-                std::chrono::steady_clock::now() + budget;
+                budget < room ? now + budget : Clock::time_point::max();
             token._hasDeadline = true;
         }
         return token;

@@ -778,47 +778,32 @@ FaultCampaign::sampleOutcomes(const std::vector<double> &thresholds,
     const std::size_t masks = std::size_t{1} << fault_count;
     const std::size_t cells = levels * masks;
 
-    // Same deterministic decomposition as MonteCarloAnalyzer:
-    // fixed-size blocks on forked substreams keyed by block index
-    // (block b draws from the root's (b+1)-th fork). The histograms
-    // are integers, so merging them in any order is exact and the
-    // result is independent of the thread count.
-    const std::size_t blocks =
-        (count + sampleBlock - 1) / sampleBlock;
-    const Rng root(seed);
-
     std::vector<double> reach(fault_count, 0.0);
     for (std::size_t level = 0; level < levels; ++level)
         for (std::size_t j = 0; j < fault_count; ++j)
             reach[j] = std::max(reach[j],
                                 thresholds[level * fault_count + j]);
 
-    exec::ParallelOptions options = parallel;
-    options.grain = 1; // One block per chunk.
-    const std::size_t slots = exec::maxSlots(options);
-    // Per-slot regions padded by a cache line so concurrently
-    // written counters and draws never share one.
+    // Per-slot histograms: integers, so summing the slots after the
+    // loop is exact and independent of the thread count. Regions are
+    // padded by a cache line so concurrently written counters and
+    // draws never share one.
+    const std::size_t slots = exec::maxSlots(parallel);
     constexpr std::size_t pad = 64 / sizeof(double);
     const std::size_t count_stride = cells + pad;
     const std::size_t draw_stride = drawSamples * fault_count + pad;
     std::vector<std::uint64_t> counts(slots * count_stride, 0);
     std::vector<double> draws(slots * draw_stride);
 
-    exec::parallelForSlots(
-        blocks,
-        [&](std::size_t slot, std::size_t block_begin,
-            std::size_t block_end) {
-            for (std::size_t b = block_begin; b < block_end; ++b) {
-                const std::size_t lo = b * sampleBlock;
-                countMasks(root.forkAt(b),
-                           std::min(count, lo + sampleBlock) - lo,
-                           fault_count, thresholds.data(),
-                           reach.data(), levels,
-                           draws.data() + slot * draw_stride,
-                           counts.data() + slot * count_stride);
-            }
-        },
-        options);
+    sim::forEachBlock(
+        count, seed, parallel,
+        [&](std::size_t slot, Rng &rng, std::size_t lo,
+            std::size_t hi) {
+            countMasks(rng, hi - lo, fault_count, thresholds.data(),
+                       reach.data(), levels,
+                       draws.data() + slot * draw_stride,
+                       counts.data() + slot * count_stride);
+        });
 
     for (std::size_t slot = 1; slot < slots; ++slot)
         for (std::size_t c = 0; c < cells; ++c)
@@ -855,42 +840,34 @@ FaultCampaign::reference(const std::vector<double> &threshold,
                          std::size_t count, std::uint64_t seed,
                          const exec::ParallelOptions &parallel) const
 {
-    const std::size_t blocks =
-        (count + sampleBlock - 1) / sampleBlock;
-    const Rng root(seed);
     const pipeline::ModularRedundancy redundancy(_spec.redundancy);
-    std::vector<Tally> block_tallies(blocks, emptyTally());
-    exec::ParallelOptions options = parallel;
-    options.grain = 1; // One block per chunk.
-    exec::parallelFor(
-        blocks,
-        [&](std::size_t block_begin, std::size_t block_end) {
-            for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = root.forkAt(b);
-                const std::size_t lo = b * sampleBlock;
-                const std::size_t hi =
-                    std::min(count, lo + sampleBlock);
-                for (std::size_t i = lo; i < hi; ++i) {
-                    // Exactly one draw per fault, active or not, so
-                    // the stream a later fault sees never depends on
-                    // an earlier activation (or on probabilityScale
-                    // turning one off).
-                    std::uint64_t mask = 0;
-                    for (std::size_t j = 0; j < threshold.size(); ++j) {
-                        if (rng.uniform() < threshold[j])
-                            mask |= std::uint64_t{1} << j;
-                    }
-                    add(block_tallies[b], mask,
-                        outcome(mask, redundancy), 1);
+    // Per-slot tallies: summarize() reads survivors through
+    // Distribution::fromCounts, which depends only on the multiset,
+    // so the slots merge in any order.
+    std::vector<Tally> slot_tallies(exec::maxSlots(parallel),
+                                    emptyTally());
+    sim::forEachBlock(
+        count, seed, parallel,
+        [&](std::size_t slot, Rng &rng, std::size_t lo,
+            std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+                // Exactly one draw per fault, active or not, so the
+                // stream a later fault sees never depends on an
+                // earlier activation (or on probabilityScale turning
+                // one off).
+                std::uint64_t mask = 0;
+                for (std::size_t j = 0; j < threshold.size(); ++j) {
+                    if (rng.uniform() < threshold[j])
+                        mask |= std::uint64_t{1} << j;
                 }
+                add(slot_tallies[slot], mask,
+                    outcome(mask, redundancy), 1);
             }
-        },
-        options);
+        });
 
-    // Merged in block order, so survivors stay in sample order.
     Tally total = emptyTally();
-    for (const Tally &block : block_tallies)
-        total.merge(block);
+    for (const Tally &tally : slot_tallies)
+        total.merge(tally);
     return summarize(std::move(total), count);
 }
 

@@ -10,11 +10,11 @@
  * degradation curve as fault rates sweep from zero to their full
  * severity.
  *
- * Determinism follows the PR-1 contract exactly as
- * sim::MonteCarloAnalyzer does: samples come in fixed-size blocks,
- * each drawing from its own Rng::fork() substream keyed by block
- * index, and every sample draws exactly one uniform per fault spec
- * (whether or not the fault activates). A sample's outcome depends
+ * Sampling runs on sim::forEachBlock, the skeleton
+ * sim::MonteCarloAnalyzer uses: samples come in fixed-size blocks,
+ * block b drawing from Rng(seed).forkAt(b), and every sample draws
+ * exactly one uniform per fault spec (whether or not the fault
+ * activates). A sample's outcome depends
  * only on which faults fired, so a campaign is summarized from an
  * integer histogram over the 2^faults activation masks — exact to
  * merge in any order, so bit-identical for a given seed at any
@@ -215,9 +215,6 @@ class FaultCampaign
                      std::size_t samples_per_level,
                      std::uint64_t seed = 1,
                      const exec::ParallelOptions &parallel = {}) const;
-
-    /** Samples per RNG substream block (the determinism grain). */
-    static constexpr std::size_t sampleBlock = 2048;
 
     /** Most faults one campaign accepts: a sample's outcome is one
      * activation mask of this many bits. */

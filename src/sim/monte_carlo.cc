@@ -1,18 +1,19 @@
 /**
  * @file
- * MonteCarloAnalyzer implementation.
+ * MonteCarloAnalyzer implementation, and the forEachBlock skeleton
+ * it shares with fault campaigns.
  *
- * run() is the batched hot path: per RNG block, samples are
- * processed in kernelBlock-sized sub-batches — a sequential draw
- * phase (libm exp stays scalar; its vector forms are not bit-exact),
- * a batched bound-evaluation phase over compiled plans, and the
- * core::analyzeBlock kernel. Every per-sample expression matches the
- * scalar loop operand for operand, so the result is bit-identical to
- * runReference() — the original sample-at-a-time loop, kept as the
- * oracle. When any sample in a sub-batch fails a kernel's validation
- * flag, the sub-batch is re-run through the scalar path from a saved
- * RNG state, so the thrown error (and every committed value before
- * it) matches the scalar loop exactly.
+ * run() and runReference() share one Sampler (setup, per-slot
+ * tallies, summary) on forEachBlock and differ only in the per-block
+ * body. run()'s is the batched hot path: kernelBlock-sized
+ * sub-batches through a sequential draw phase, the compiled plans
+ * and the core::analyzeBlock kernel, every per-sample expression
+ * matching the scalar loop operand for operand. runReference()'s is
+ * that scalar sample-at-a-time loop, kept as the oracle; the two are
+ * bit-identical. A sub-batch that fails a kernel's validation flag
+ * is re-run through the scalar loop from a saved RNG state, so the
+ * thrown error (and every committed value before it) matches it
+ * exactly.
  */
 
 #include "sim/monte_carlo.hh"
@@ -232,30 +233,35 @@ MonteCarloAnalyzer::MonteCarloAnalyzer(const UncertaintySpec &spec)
     }
 }
 
+void
+forEachBlock(
+    std::size_t count, std::uint64_t seed,
+    const exec::ParallelOptions &parallel,
+    const std::function<void(std::size_t, Rng &, std::size_t,
+                             std::size_t)> &body)
+{
+    const Rng root(seed);
+    exec::ParallelOptions options = parallel;
+    options.grain = 1; // One block per chunk.
+    exec::parallelForSlots(
+        (count + sampleBlock - 1) / sampleBlock,
+        [&](std::size_t slot, std::size_t b, std::size_t) {
+            Rng rng = root.forkAt(b);
+            const std::size_t lo = b * sampleBlock;
+            body(slot, rng, lo, std::min(count, lo + sampleBlock));
+        },
+        options);
+}
+
 namespace {
 
 /**
- * Multiplicative lognormal perturbation with E[factor] = 1 and the
+ * A multiplicative lognormal perturbation with E[factor] = 1 and the
  * requested relative standard deviation (so nominal values stay
- * unbiased).
- */
-double
-perturb(double nominal, double rel_std, Rng &rng)
-{
-    if (rel_std <= 0.0)
-        return nominal;
-    const double sigma2 = std::log(1.0 + rel_std * rel_std);
-    const double mu = -sigma2 / 2.0;
-    return nominal * std::exp(mu + std::sqrt(sigma2) * rng.normal());
-}
-
-/**
- * perturb() split at its sample-invariant seam: mu and sqrt(sigma2)
- * depend only on rel_std, so the batch draw phase precomputes them
- * once and draws only the factor. The scalar path recomputes them
- * per call from the same rel_std — identical bits — and factor
- * application (`nominal * factor`) is the same multiply perturb()
- * performs, with factor = 1.0 (an exact identity) when inactive.
+ * unbiased), split at its sample-invariant seam: mu and sqrt(sigma2)
+ * depend only on rel_std, so they are computed once and each sample
+ * draws only the factor. An inactive spread draws nothing and
+ * yields 1.0, an exact identity under `nominal * factor`.
  */
 struct PerturbParams
 {
@@ -285,7 +291,7 @@ drawFactor(const PerturbParams &p, Rng &rng)
     return std::exp(p.mu + p.sqrtSigma * rng.normal());
 }
 
-/** Per-slot scratch for the batched run: one sub-batch of SoA
+/** Per-slot scratch for the batched path: one sub-batch of SoA
  * lanes plus the plan scratch, reused across blocks. Aligned to
  * the widest vector the build could select so the kernels' stride
  * loads never split a cache line. */
@@ -297,15 +303,11 @@ struct alignas(64) Arena
                   "native width must divide the kernel block");
     double aMax[cap];
     double range[cap];
-    double aiScale[cap];
-    double ai[cap];
+    double ai[cap]; ///< Pipeline path: the shared AI scale.
     double computeFactor[cap];
-    double sensorFactor[cap];
-    double throughput[cap];
-    double attainable[cap];
+    double throughput[cap]; ///< Flat path: attainable GOPS.
     double sensorRate[cap];
     double computeRate[cap];
-    std::uint32_t bottleneckSlot[cap];
     std::uint32_t ceilingSlot[cap];
     std::uint8_t bound[cap];
     std::uint64_t stageKind[workload::PipelineBound::maxStages * 3];
@@ -313,189 +315,306 @@ struct alignas(64) Arena
 };
 
 /**
- * The original sample-at-a-time loop over samples [lo, hi) of one
- * RNG block: the reference semantics, byte for byte. run() falls
- * back to it when a kernel validation flag trips (reproducing the
- * scalar error), and runReference() routes everything through it.
+ * Setup, per-slot state and summary shared by run() and
+ * runReference(), which differ only in the per-block body: the
+ * batched kernels or the scalar loop. Each slot owns one tally row
+ * [bounds(4) | flat ceiling slots | stage * 3 + kind], padded to a
+ * cache line; rows are summed after the loop (exact, since the
+ * tallies are integers). Outputs are written at their sample index.
  */
-void
-scalarSamples(const UncertaintySpec &spec,
-              const workload::StagePipelineEvaluator *evaluator,
-              std::size_t stage_count,
-              const platform::RooflinePlatform *machine,
-              std::size_t compute_ceilings, std::size_t lo,
-              std::size_t hi, Rng &rng, double *v_safe, double *knee,
-              double *roof, std::array<std::uint64_t, 4> &counts,
-              std::uint64_t *ceiling_counts,
-              std::uint64_t *stage_counts)
+class Sampler
 {
-    core::F1Analysis analysis;
-    workload::PipelineBound pipeline_bound;
-    workload::StageEvalOptions eval_options;
-    eval_options.opIndex = spec.opIndex;
-    eval_options.measuredFirst = false;
-    for (std::size_t i = lo; i < hi; ++i) {
-        core::F1Inputs inputs = spec.nominal;
-        inputs.aMax = units::MetersPerSecondSquared(
-            perturb(inputs.aMax.value(), spec.aMaxRelStd, rng));
-        inputs.sensingRange = units::Meters(perturb(
-            inputs.sensingRange.value(), spec.rangeRelStd, rng));
-        if (evaluator) {
-            // Per-stage path: one shared AI draw scales every
-            // annotated stage's intensity, the pipeline's modeled
-            // bounds set f_compute, and both the bottleneck's and
-            // each stage's binding are tallied.
-            eval_options.aiScale = perturb(1.0, spec.aiRelStd, rng);
-            evaluator->evaluateInto(eval_options, pipeline_bound);
-            inputs.computeRate = units::Hertz(
-                perturb(pipeline_bound.throughputHz,
-                        spec.computeRelStd, rng));
-            const platform::CeilingRef binding =
-                pipeline_bound.bottleneckBinding();
-            inputs.computeBinding = binding;
-            if (binding.attributed) {
-                const std::size_t slot =
-                    binding.kind == platform::CeilingKind::Compute
-                        ? binding.index
-                        : compute_ceilings + binding.index;
-                ++ceiling_counts[slot];
-            }
-            for (std::size_t s = 0; s < stage_count; ++s) {
-                const workload::StageBound &stage =
-                    pipeline_bound.stages[s];
-                const std::size_t kind =
-                    !stage.binding.attributed
-                        ? 2
-                        : (stage.binding.kind ==
-                                   platform::CeilingKind::Compute
-                               ? 0
-                               : 1);
-                ++stage_counts[s * 3 + kind];
-            }
-        } else if (machine) {
-            // Ceiling-family path: the bound at a perturbed
-            // arithmetic intensity drives f_compute, so which
-            // ceiling binds varies sample to sample. perturb()
-            // draws nothing for zero spreads, so the legacy draw
-            // sequence (and its results) is untouched when no
-            // platform is configured.
-            platform::WorkloadProfile profile = spec.profile;
-            profile.ai = units::OpsPerByte(
-                perturb(profile.ai.value(), spec.aiRelStd, rng));
-            const platform::AttainableBound bound =
-                machine->attainable(profile, spec.opIndex);
-            inputs.computeRate = units::Hertz(
-                perturb(bound.attainable.value() /
-                            spec.workPerFrameGop,
-                        spec.computeRelStd, rng));
-            inputs.computeBinding = bound.binding;
-            const std::size_t slot =
-                bound.binding.kind == platform::CeilingKind::Compute
-                    ? bound.binding.index
-                    : compute_ceilings + bound.binding.index;
-            ++ceiling_counts[slot];
-        } else {
-            inputs.computeRate = units::Hertz(perturb(
-                inputs.computeRate.value(), spec.computeRelStd, rng));
+  public:
+    Sampler(const UncertaintySpec &spec, std::size_t count,
+            const exec::ParallelOptions &parallel)
+        : _spec(spec), _count(count),
+          _p_amax(perturbParams(spec.aMaxRelStd)),
+          _p_range(perturbParams(spec.rangeRelStd)),
+          _p_ai(perturbParams(spec.aiRelStd)),
+          _p_compute(perturbParams(spec.computeRelStd)),
+          _p_sensor(perturbParams(spec.sensorRelStd))
+    {
+        if (count < 10)
+            throw ModelError("Monte-Carlo run needs >= 10 samples");
+        // Compile the per-sample evaluation once: the pipeline path
+        // gets a StagePipelinePlan (whose evaluator the scalar loop
+        // uses), the flat platform path an EvaluationPlan over the
+        // spec profile; the legacy path needs neither.
+        if (spec.pipeline) {
+            _plan.emplace(*spec.pipeline, *spec.platform);
+            _stages = _plan->stageCount();
+        } else if (spec.platform) {
+            _flatPlan.emplace(*spec.platform, spec.profile);
         }
-        inputs.sensorRate = units::Hertz(
-            perturb(inputs.sensorRate.value(), spec.sensorRelStd,
-                    rng));
-
-        core::F1Model::analyzeInto(inputs, analysis);
-        v_safe[i] = analysis.safeVelocity.value();
-        knee[i] = analysis.kneeThroughput.value();
-        roof[i] = analysis.roofVelocity.value();
-        ++counts[static_cast<std::size_t>(analysis.bound)];
+        if (spec.platform) {
+            _computeCeilings = spec.platform->computeCeilings().size();
+            _ceilings = _computeCeilings +
+                        spec.platform->memoryCeilings().size();
+        }
+        const std::size_t slots = exec::maxSlots(parallel);
+        // Rows padded by a cache line so no two slots' counters
+        // ever share one.
+        _stride = 4 + _ceilings + _stages * 3 +
+                  64 / sizeof(std::uint64_t);
+        _tallies.assign(slots * _stride, 0);
+        _arenas.resize(slots);
+        _vSafe.resize(count);
+        _knee.resize(count);
+        _roof.resize(count);
     }
-}
 
-/** Shared tally-merge and distribution-building tail of both run
- * flavours. Per-block tallies are merged in block order — the
- * determinism contract. */
-UncertaintyResult
-buildResult(
-    std::size_t count,
-    const std::vector<std::array<std::uint64_t, 4>> &bound_counts,
-    bool machine, std::size_t compute_ceilings,
-    std::size_t total_ceilings,
-    const std::vector<std::vector<std::uint64_t>> &ceiling_counts,
-    const std::vector<std::string> &stage_names,
-    const std::vector<std::vector<std::uint64_t>> &stage_counts,
-    std::vector<double> v_safe, std::vector<double> knee,
-    std::vector<double> roof)
-{
-    UncertaintyResult result;
-    result.samples = count;
-    std::array<std::uint64_t, 4> totals{};
-    for (const auto &counts : bound_counts)
-        for (std::size_t k = 0; k < totals.size(); ++k)
-            totals[k] += counts[k];
+    /**
+     * The original sample-at-a-time loop over samples [lo, hi):
+     * the reference semantics, byte for byte. batched() falls back
+     * to it when a kernel validation flag trips, reproducing the
+     * scalar error.
+     */
+    void scalar(std::size_t slot, Rng &rng, std::size_t lo,
+                std::size_t hi)
+    {
+        std::uint64_t *tally = &_tallies[slot * _stride];
+        std::uint64_t *ceilings = tally + 4;
+        std::uint64_t *stages = ceilings + _ceilings;
+        core::F1Analysis analysis;
+        workload::PipelineBound pipeline_bound;
+        workload::StageEvalOptions eval_options;
+        eval_options.opIndex = _spec.opIndex;
+        eval_options.measuredFirst = false;
+        for (std::size_t i = lo; i < hi; ++i) {
+            core::F1Inputs inputs = _spec.nominal;
+            inputs.aMax = units::MetersPerSecondSquared(
+                inputs.aMax.value() * drawFactor(_p_amax, rng));
+            inputs.sensingRange =
+                units::Meters(inputs.sensingRange.value() *
+                              drawFactor(_p_range, rng));
+            if (_plan) {
+                // Per-stage path: one shared AI draw scales every
+                // annotated stage's intensity, the pipeline's
+                // modeled bounds set f_compute, and both the
+                // bottleneck's and each stage's binding are tallied.
+                eval_options.aiScale = drawFactor(_p_ai, rng);
+                _plan->evaluator().evaluateInto(eval_options,
+                                                pipeline_bound);
+                inputs.computeRate =
+                    units::Hertz(pipeline_bound.throughputHz *
+                                 drawFactor(_p_compute, rng));
+                inputs.computeBinding =
+                    pipeline_bound.bottleneckBinding();
+                if (inputs.computeBinding.attributed)
+                    ++ceilings[flatSlot(inputs.computeBinding)];
+                for (std::size_t s = 0; s < _stages; ++s) {
+                    const platform::CeilingRef &binding =
+                        pipeline_bound.stages[s].binding;
+                    const std::size_t kind =
+                        !binding.attributed
+                            ? 2
+                            : (binding.kind ==
+                                       platform::CeilingKind::Compute
+                                   ? 0
+                                   : 1);
+                    ++stages[s * 3 + kind];
+                }
+            } else if (_spec.platform) {
+                // Ceiling-family path: the bound at a perturbed
+                // arithmetic intensity drives f_compute, so which
+                // ceiling binds varies sample to sample. A zero
+                // spread draws nothing, so the legacy draw sequence
+                // (and its results) is untouched when no platform
+                // is configured.
+                platform::WorkloadProfile profile = _spec.profile;
+                profile.ai = units::OpsPerByte(
+                    profile.ai.value() * drawFactor(_p_ai, rng));
+                const platform::AttainableBound bound =
+                    _spec.platform->attainable(profile, _spec.opIndex);
+                inputs.computeRate = units::Hertz(
+                    bound.attainable.value() / _spec.workPerFrameGop *
+                    drawFactor(_p_compute, rng));
+                inputs.computeBinding = bound.binding;
+                ++ceilings[flatSlot(bound.binding)];
+            } else {
+                inputs.computeRate =
+                    units::Hertz(inputs.computeRate.value() *
+                                 drawFactor(_p_compute, rng));
+            }
+            inputs.sensorRate = units::Hertz(
+                inputs.sensorRate.value() * drawFactor(_p_sensor, rng));
 
-    if (machine) {
-        std::vector<std::uint64_t> ceiling_totals(total_ceilings, 0);
-        for (const auto &block : ceiling_counts)
-            for (std::size_t k = 0; k < total_ceilings; ++k)
-                ceiling_totals[k] += block[k];
-        result.probComputeCeilingBinds.resize(compute_ceilings);
-        result.probMemoryCeilingBinds.resize(total_ceilings -
-                                             compute_ceilings);
-        for (std::size_t k = 0; k < total_ceilings; ++k) {
-            const double prob =
-                static_cast<double>(ceiling_totals[k]) /
-                static_cast<double>(count);
-            if (k < compute_ceilings)
-                result.probComputeCeilingBinds[k] = prob;
-            else
-                result.probMemoryCeilingBinds[k - compute_ceilings] =
-                    prob;
+            core::F1Model::analyzeInto(inputs, analysis);
+            _vSafe[i] = analysis.safeVelocity.value();
+            _knee[i] = analysis.kneeThroughput.value();
+            _roof[i] = analysis.roofVelocity.value();
+            ++tally[static_cast<std::size_t>(analysis.bound)];
         }
     }
-    if (!stage_names.empty()) {
-        const std::size_t stage_count = stage_names.size();
-        std::vector<std::uint64_t> stage_totals(stage_count * 3, 0);
-        for (const auto &block : stage_counts)
-            for (std::size_t k = 0; k < stage_totals.size(); ++k)
-                stage_totals[k] += block[k];
-        result.stageBindings.resize(stage_count);
-        for (std::size_t s = 0; s < stage_count; ++s) {
+
+    /**
+     * The batched body over samples [lo, hi), in kernelBlock-sized
+     * sub-batches: a sequential draw phase (libm exp stays scalar;
+     * its vector forms are not bit-exact), a batched bound phase
+     * over the compiled plan, and the core::analyzeBlock kernel.
+     * Tallies are committed only once a sub-batch validates; on a
+     * tripped ok flag the sub-batch reruns through scalar() from a
+     * saved RNG state, so its error (and every committed value
+     * before it) is the scalar loop's.
+     */
+    void batched(std::size_t slot, Rng &rng, std::size_t lo,
+                 std::size_t hi)
+    {
+        constexpr std::size_t kernelBlock =
+            MonteCarloAnalyzer::kernelBlock;
+        Arena &arena = _arenas[slot];
+        std::uint64_t *tally = &_tallies[slot * _stride];
+        std::uint64_t *ceilings = tally + 4;
+        std::uint64_t *stages = ceilings + _ceilings;
+        const core::F1Inputs &nominal = _spec.nominal;
+        const double nominal_amax = nominal.aMax.value();
+        const double nominal_range = nominal.sensingRange.value();
+        const double nominal_ai = _spec.profile.ai.value();
+        const double nominal_compute = nominal.computeRate.value();
+        const double nominal_sensor = nominal.sensorRate.value();
+        const double work = _spec.workPerFrameGop;
+        const std::size_t op = _spec.opIndex;
+        for (std::size_t sub = lo; sub < hi; sub += kernelBlock) {
+            const std::size_t m = std::min(hi - sub, kernelBlock);
+            // Phase A consumes exactly the scalar draw sequence, so
+            // a rescan from this saved state reproduces it.
+            Rng rescan_rng = rng;
+            bool ok = true;
+
+            // Phase A: sequential draws in the scalar loop's order.
+            for (std::size_t i = 0; i < m; ++i) {
+                arena.aMax[i] = nominal_amax * drawFactor(_p_amax, rng);
+                arena.range[i] =
+                    nominal_range * drawFactor(_p_range, rng);
+                if (_plan)
+                    arena.ai[i] = drawFactor(_p_ai, rng);
+                else if (_flatPlan)
+                    arena.ai[i] = nominal_ai * drawFactor(_p_ai, rng);
+                arena.computeFactor[i] = drawFactor(_p_compute, rng);
+                arena.sensorRate[i] =
+                    nominal_sensor * drawFactor(_p_sensor, rng);
+            }
+
+            // Phase B: batched f_compute evaluation.
+            if (_plan) {
+                std::fill_n(arena.stageKind, _stages * 3, 0);
+                ok = _plan->tryEvaluateBlock(
+                    op, false, arena.ai, m, arena.throughput,
+                    arena.ceilingSlot, arena.stageKind,
+                    arena.planScratch);
+                for (std::size_t i = 0; i < m; ++i)
+                    arena.computeRate[i] =
+                        arena.throughput[i] * arena.computeFactor[i];
+            } else if (_flatPlan) {
+                ok = _flatPlan->tryEvaluateBlock(
+                    op, arena.ai, m, arena.throughput,
+                    arena.ceilingSlot);
+                for (std::size_t i = 0; i < m; ++i)
+                    arena.computeRate[i] = arena.throughput[i] / work *
+                                           arena.computeFactor[i];
+            } else {
+                for (std::size_t i = 0; i < m; ++i)
+                    arena.computeRate[i] =
+                        nominal_compute * arena.computeFactor[i];
+            }
+
+            // Phase C: the F-1 block kernel, writing the output
+            // lanes in place.
+            ok = core::analyzeBlock(
+                     arena.aMax, arena.range, arena.sensorRate,
+                     arena.computeRate, nominal.controlRate.value(),
+                     nominal.kneeFraction, m, _vSafe.data() + sub,
+                     _knee.data() + sub, _roof.data() + sub,
+                     arena.bound) &&
+                 ok;
+
+            if (!ok) {
+                scalar(slot, rescan_rng, sub, sub + m);
+                continue;
+            }
+            for (std::size_t i = 0; i < m; ++i)
+                ++tally[arena.bound[i]];
+            if (_plan) {
+                for (std::size_t i = 0; i < m; ++i) {
+                    const std::uint32_t s = arena.ceilingSlot[i];
+                    if (s != workload::StagePipelinePlan::measuredSlot)
+                        ++ceilings[s];
+                }
+                for (std::size_t k = 0; k < _stages * 3; ++k)
+                    stages[k] += arena.stageKind[k];
+            } else if (_flatPlan) {
+                for (std::size_t i = 0; i < m; ++i)
+                    ++ceilings[arena.ceilingSlot[i]];
+            }
+        }
+    }
+
+    /** Sum the slot rows and build the result. */
+    UncertaintyResult summarize()
+    {
+        std::vector<std::uint64_t> totals(_stride, 0);
+        for (std::size_t k = 0; k < _tallies.size(); ++k)
+            totals[k % _stride] += _tallies[k];
+        const double n = static_cast<double>(_count);
+        const auto prob = [&](std::size_t k) {
+            return static_cast<double>(totals[k]) / n;
+        };
+
+        UncertaintyResult result;
+        result.samples = _count;
+        using core::BoundType;
+        result.probComputeBound =
+            prob(static_cast<std::size_t>(BoundType::ComputeBound));
+        result.probSensorBound =
+            prob(static_cast<std::size_t>(BoundType::SensorBound));
+        result.probControlBound =
+            prob(static_cast<std::size_t>(BoundType::ControlBound));
+        result.probPhysicsBound =
+            prob(static_cast<std::size_t>(BoundType::PhysicsBound));
+        for (std::size_t k = 0; k < _ceilings; ++k)
+            (k < _computeCeilings ? result.probComputeCeilingBinds
+                                  : result.probMemoryCeilingBinds)
+                .push_back(prob(4 + k));
+        result.stageBindings.resize(_stages);
+        for (std::size_t s = 0; s < _stages; ++s) {
+            const std::size_t base = 4 + _ceilings + s * 3;
             StageBindingStats &stats = result.stageBindings[s];
-            stats.stage = stage_names[s];
-            stats.probComputeBound =
-                static_cast<double>(stage_totals[s * 3 + 0]) /
-                static_cast<double>(count);
-            stats.probMemoryBound =
-                static_cast<double>(stage_totals[s * 3 + 1]) /
-                static_cast<double>(count);
-            stats.probMeasured =
-                static_cast<double>(stage_totals[s * 3 + 2]) /
-                static_cast<double>(count);
+            stats.stage = _plan->evaluator().stageName(s);
+            stats.probComputeBound = prob(base + 0);
+            stats.probMemoryBound = prob(base + 1);
+            stats.probMeasured = prob(base + 2);
         }
+        result.safeVelocity =
+            Distribution::fromSamples(std::move(_vSafe));
+        result.kneeThroughput =
+            Distribution::fromSamples(std::move(_knee));
+        result.roofVelocity =
+            Distribution::fromSamples(std::move(_roof));
+        return result;
     }
 
-    const double n = static_cast<double>(count);
-    using core::BoundType;
-    result.probComputeBound =
-        static_cast<double>(
-            totals[static_cast<std::size_t>(BoundType::ComputeBound)]) /
-        n;
-    result.probSensorBound =
-        static_cast<double>(
-            totals[static_cast<std::size_t>(BoundType::SensorBound)]) /
-        n;
-    result.probControlBound =
-        static_cast<double>(
-            totals[static_cast<std::size_t>(BoundType::ControlBound)]) /
-        n;
-    result.probPhysicsBound =
-        static_cast<double>(
-            totals[static_cast<std::size_t>(BoundType::PhysicsBound)]) /
-        n;
-    result.safeVelocity = Distribution::fromSamples(std::move(v_safe));
-    result.kneeThroughput = Distribution::fromSamples(std::move(knee));
-    result.roofVelocity = Distribution::fromSamples(std::move(roof));
-    return result;
-}
+  private:
+    /** Flat slot of a binding: compute ceilings first. */
+    std::size_t flatSlot(const platform::CeilingRef &binding) const
+    {
+        return binding.kind == platform::CeilingKind::Compute
+                   ? binding.index
+                   : _computeCeilings + binding.index;
+    }
+
+    const UncertaintySpec &_spec;
+    std::size_t _count;
+    PerturbParams _p_amax, _p_range, _p_ai, _p_compute, _p_sensor;
+    std::optional<workload::StagePipelinePlan> _plan;
+    std::optional<platform::EvaluationPlan> _flatPlan;
+    std::size_t _stages = 0;
+    std::size_t _computeCeilings = 0;
+    std::size_t _ceilings = 0;
+    std::size_t _stride = 0;
+    std::vector<std::uint64_t> _tallies;
+    std::vector<Arena> _arenas;
+    std::vector<double> _vSafe, _knee, _roof;
+};
 
 } // namespace
 
@@ -503,223 +622,13 @@ UncertaintyResult
 MonteCarloAnalyzer::run(std::size_t count, std::uint64_t seed,
                         const exec::ParallelOptions &parallel) const
 {
-    if (count < 10)
-        throw ModelError("Monte-Carlo run needs >= 10 samples");
-
-    // Deterministic decomposition: samples come in fixed-size
-    // blocks, each drawing from its own forked substream. Block
-    // geometry depends only on `count`, every sample writes to its
-    // own slot, and per-block tallies are merged in block order, so
-    // the result is bit-identical at any thread count.
-    const std::size_t blocks =
-        (count + sampleBlock - 1) / sampleBlock;
-    std::vector<Rng> block_rngs;
-    block_rngs.reserve(blocks);
-    Rng root(seed);
-    for (std::size_t b = 0; b < blocks; ++b)
-        block_rngs.push_back(root.fork());
-
-    std::vector<double> v_safe(count);
-    std::vector<double> knee(count);
-    std::vector<double> roof(count);
-    std::vector<std::array<std::uint64_t, 4>> bound_counts(
-        blocks, std::array<std::uint64_t, 4>{});
-
-    const platform::RooflinePlatform *machine =
-        _spec.platform ? &*_spec.platform : nullptr;
-    const std::size_t compute_ceilings =
-        machine ? machine->computeCeilings().size() : 0;
-    const std::size_t total_ceilings =
-        machine ? compute_ceilings + machine->memoryCeilings().size()
-                : 0;
-    std::vector<std::vector<std::uint64_t>> ceiling_counts(
-        machine ? blocks : 0,
-        std::vector<std::uint64_t>(total_ceilings, 0));
-
-    // Compile the per-sample evaluation once. The pipeline path gets
-    // a StagePipelinePlan (per-stage SoA evaluation), the flat
-    // platform path an EvaluationPlan over the spec profile; the
-    // legacy path needs neither.
-    std::optional<workload::StagePipelinePlan> plan;
-    std::optional<platform::EvaluationPlan> machine_plan;
-    std::size_t stage_count = 0;
-    std::vector<std::string> stage_names;
-    if (_spec.pipeline) {
-        plan.emplace(*_spec.pipeline, *_spec.platform);
-        stage_count = plan->stageCount();
-        for (std::size_t s = 0; s < stage_count; ++s)
-            stage_names.push_back(plan->evaluator().stageName(s));
-    } else if (machine) {
-        machine_plan.emplace(*machine, _spec.profile);
-    }
-    std::vector<std::vector<std::uint64_t>> stage_counts(
-        plan ? blocks : 0,
-        std::vector<std::uint64_t>(stage_count * 3, 0));
-
-    // Sample-invariant draw parameters and nominals, hoisted.
-    const PerturbParams p_amax = perturbParams(_spec.aMaxRelStd);
-    const PerturbParams p_range = perturbParams(_spec.rangeRelStd);
-    const PerturbParams p_ai = perturbParams(_spec.aiRelStd);
-    const PerturbParams p_compute =
-        perturbParams(_spec.computeRelStd);
-    const PerturbParams p_sensor = perturbParams(_spec.sensorRelStd);
-    const double nominal_amax = _spec.nominal.aMax.value();
-    const double nominal_range = _spec.nominal.sensingRange.value();
-    const double nominal_ai = _spec.profile.ai.value();
-    const double nominal_compute = _spec.nominal.computeRate.value();
-    const double nominal_sensor = _spec.nominal.sensorRate.value();
-    const double control = _spec.nominal.controlRate.value();
-    const double knee_fraction = _spec.nominal.kneeFraction;
-    const double work = _spec.workPerFrameGop;
-    const std::size_t op = _spec.opIndex;
-
-    exec::ParallelOptions options = parallel;
-    options.grain = 1; // One block per chunk.
-    std::vector<Arena> arenas(exec::maxSlots(options));
-    const workload::StagePipelineEvaluator *evaluator =
-        plan ? &plan->evaluator() : nullptr;
-
-    exec::parallelForSlots(
-        blocks,
-        [&](std::size_t slot, std::size_t block_begin,
-            std::size_t block_end) {
-            Arena &arena = arenas[slot];
-            for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = block_rngs[b];
-                // Tally on the stack and store once per block:
-                // adjacent blocks' slots share cache lines, so
-                // per-sample increments would false-share.
-                std::array<std::uint64_t, 4> counts{};
-                const std::size_t lo = b * sampleBlock;
-                const std::size_t hi =
-                    std::min(count, lo + sampleBlock);
-                for (std::size_t sub = lo; sub < hi;
-                     sub += kernelBlock) {
-                    const std::size_t m =
-                        std::min(hi - sub, kernelBlock);
-                    // Saved state for the scalar fallback: phase A
-                    // consumes exactly the scalar draw sequence, so
-                    // re-running from here reproduces it.
-                    Rng rescan_rng = rng;
-                    bool ok = true;
-
-                    // Phase A: sequential draws, per-sample order
-                    // identical to the scalar loop (exp stays a
-                    // scalar libm call).
-                    for (std::size_t i = 0; i < m; ++i) {
-                        arena.aMax[i] =
-                            nominal_amax * drawFactor(p_amax, rng);
-                        arena.range[i] =
-                            nominal_range * drawFactor(p_range, rng);
-                        if (plan) {
-                            arena.aiScale[i] =
-                                1.0 * drawFactor(p_ai, rng);
-                        } else if (machine_plan) {
-                            arena.ai[i] =
-                                nominal_ai * drawFactor(p_ai, rng);
-                        }
-                        arena.computeFactor[i] =
-                            drawFactor(p_compute, rng);
-                        arena.sensorFactor[i] =
-                            drawFactor(p_sensor, rng);
-                    }
-
-                    // Phase B: batched f_compute evaluation.
-                    if (plan) {
-                        for (std::size_t k = 0;
-                             k < stage_count * 3; ++k)
-                            arena.stageKind[k] = 0;
-                        ok = plan->tryEvaluateBlock(
-                                 op, false, arena.aiScale, m,
-                                 arena.throughput,
-                                 arena.bottleneckSlot,
-                                 arena.stageKind,
-                                 arena.planScratch) &&
-                             ok;
-                        for (std::size_t i = 0; i < m; ++i)
-                            arena.computeRate[i] =
-                                arena.throughput[i] *
-                                arena.computeFactor[i];
-                    } else if (machine_plan) {
-                        ok = machine_plan->tryEvaluateBlock(
-                                 op, arena.ai, m, arena.attainable,
-                                 arena.ceilingSlot) &&
-                             ok;
-                        for (std::size_t i = 0; i < m; ++i)
-                            arena.computeRate[i] =
-                                arena.attainable[i] / work *
-                                arena.computeFactor[i];
-                    } else {
-                        for (std::size_t i = 0; i < m; ++i)
-                            arena.computeRate[i] =
-                                nominal_compute *
-                                arena.computeFactor[i];
-                    }
-                    for (std::size_t i = 0; i < m; ++i)
-                        arena.sensorRate[i] =
-                            nominal_sensor * arena.sensorFactor[i];
-
-                    // Phase C: the F-1 block kernel, writing the
-                    // output lanes in place.
-                    ok = core::analyzeBlock(
-                             arena.aMax, arena.range,
-                             arena.sensorRate, arena.computeRate,
-                             control, knee_fraction, m,
-                             v_safe.data() + sub, knee.data() + sub,
-                             roof.data() + sub, arena.bound) &&
-                         ok;
-
-                    if (!ok) {
-                        // Scalar fallback: recompute the whole
-                        // sub-batch sample-at-a-time so the first
-                        // failing sample throws the scalar path's
-                        // own error (and, if none does, every
-                        // output and tally is the scalar one).
-                        scalarSamples(
-                            _spec, evaluator, stage_count, machine,
-                            compute_ceilings, sub, sub + m,
-                            rescan_rng, v_safe.data(), knee.data(),
-                            roof.data(), counts,
-                            machine ? ceiling_counts[b].data()
-                                    : nullptr,
-                            plan ? stage_counts[b].data()
-                                 : nullptr);
-                        continue;
-                    }
-
-                    // Commit tallies only after every phase
-                    // validated, so the fallback never
-                    // double-counts.
-                    for (std::size_t i = 0; i < m; ++i)
-                        ++counts[arena.bound[i]];
-                    if (plan) {
-                        for (std::size_t i = 0; i < m; ++i) {
-                            const std::uint32_t s =
-                                arena.bottleneckSlot[i];
-                            if (s != workload::StagePipelinePlan::
-                                         measuredSlot)
-                                ++ceiling_counts[b][s];
-                        }
-                        for (std::size_t k = 0;
-                             k < stage_count * 3; ++k)
-                            stage_counts[b][k] +=
-                                arena.stageKind[k];
-                    } else if (machine_plan) {
-                        for (std::size_t i = 0; i < m; ++i)
-                            ++ceiling_counts[b]
-                                            [arena.ceilingSlot[i]];
-                    }
-                }
-                bound_counts[b] = counts;
-            }
-        },
-        options);
-
-    return buildResult(count, bound_counts, machine != nullptr,
-                       compute_ceilings, total_ceilings,
-                       ceiling_counts, stage_names, stage_counts,
-                       std::move(v_safe), std::move(knee),
-                       std::move(roof));
+    Sampler sampler(_spec, count, parallel);
+    forEachBlock(count, seed, parallel,
+                 [&](std::size_t slot, Rng &rng, std::size_t lo,
+                     std::size_t hi) {
+                     sampler.batched(slot, rng, lo, hi);
+                 });
+    return sampler.summarize();
 }
 
 UncertaintyResult
@@ -727,75 +636,13 @@ MonteCarloAnalyzer::runReference(
     std::size_t count, std::uint64_t seed,
     const exec::ParallelOptions &parallel) const
 {
-    if (count < 10)
-        throw ModelError("Monte-Carlo run needs >= 10 samples");
-
-    const std::size_t blocks =
-        (count + sampleBlock - 1) / sampleBlock;
-    std::vector<Rng> block_rngs;
-    block_rngs.reserve(blocks);
-    Rng root(seed);
-    for (std::size_t b = 0; b < blocks; ++b)
-        block_rngs.push_back(root.fork());
-
-    std::vector<double> v_safe(count);
-    std::vector<double> knee(count);
-    std::vector<double> roof(count);
-    std::vector<std::array<std::uint64_t, 4>> bound_counts(
-        blocks, std::array<std::uint64_t, 4>{});
-
-    const platform::RooflinePlatform *machine =
-        _spec.platform ? &*_spec.platform : nullptr;
-    const std::size_t compute_ceilings =
-        machine ? machine->computeCeilings().size() : 0;
-    const std::size_t total_ceilings =
-        machine ? compute_ceilings + machine->memoryCeilings().size()
-                : 0;
-    std::vector<std::vector<std::uint64_t>> ceiling_counts(
-        machine ? blocks : 0,
-        std::vector<std::uint64_t>(total_ceilings, 0));
-
-    std::optional<workload::StagePipelineEvaluator> evaluator;
-    std::size_t stage_count = 0;
-    std::vector<std::string> stage_names;
-    if (_spec.pipeline) {
-        evaluator.emplace(*_spec.pipeline, *_spec.platform);
-        stage_count = evaluator->stageCount();
-        for (std::size_t s = 0; s < stage_count; ++s)
-            stage_names.push_back(evaluator->stageName(s));
-    }
-    std::vector<std::vector<std::uint64_t>> stage_counts(
-        evaluator ? blocks : 0,
-        std::vector<std::uint64_t>(stage_count * 3, 0));
-
-    exec::ParallelOptions options = parallel;
-    options.grain = 1; // One block per chunk.
-    exec::parallelFor(
-        blocks,
-        [&](std::size_t block_begin, std::size_t block_end) {
-            for (std::size_t b = block_begin; b < block_end; ++b) {
-                Rng rng = block_rngs[b];
-                std::array<std::uint64_t, 4> counts{};
-                const std::size_t lo = b * sampleBlock;
-                const std::size_t hi =
-                    std::min(count, lo + sampleBlock);
-                scalarSamples(
-                    _spec, evaluator ? &*evaluator : nullptr,
-                    stage_count, machine, compute_ceilings, lo, hi,
-                    rng, v_safe.data(), knee.data(), roof.data(),
-                    counts,
-                    machine ? ceiling_counts[b].data() : nullptr,
-                    evaluator ? stage_counts[b].data() : nullptr);
-                bound_counts[b] = counts;
-            }
-        },
-        options);
-
-    return buildResult(count, bound_counts, machine != nullptr,
-                       compute_ceilings, total_ceilings,
-                       ceiling_counts, stage_names, stage_counts,
-                       std::move(v_safe), std::move(knee),
-                       std::move(roof));
+    Sampler sampler(_spec, count, parallel);
+    forEachBlock(count, seed, parallel,
+                 [&](std::size_t slot, Rng &rng, std::size_t lo,
+                     std::size_t hi) {
+                     sampler.scalar(slot, rng, lo, hi);
+                 });
+    return sampler.summarize();
 }
 
 } // namespace uavf1::sim

@@ -15,6 +15,7 @@
 #define UAVF1_SIM_MONTE_CARLO_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -22,9 +23,35 @@
 #include "core/f1_model.hh"
 #include "exec/parallel.hh"
 #include "platform/roofline_platform.hh"
+#include "support/rng.hh"
 #include "workload/spa_pipeline.hh"
 
 namespace uavf1::sim {
+
+/** Samples per RNG substream block: the determinism grain of every
+ * block sampler (Monte-Carlo and fault campaigns). */
+inline constexpr std::size_t sampleBlock = 2048;
+
+/**
+ * The block-sampling skeleton shared by every sampled analysis.
+ * Splits [0, count) into fixed sampleBlock-sized blocks (the last
+ * one partial) and runs `body(slot, rng, lo, hi)` once per block,
+ * one block per parallel chunk. Block b covers samples
+ * [b * sampleBlock, min(count, (b + 1) * sampleBlock)) and draws
+ * from `Rng(seed).forkAt(b)`, so what a block sees depends only on
+ * (seed, b, count), never on the thread count. `slot` is
+ * exec::parallelForSlots' stable slot (< exec::maxSlots(parallel)):
+ * it indexes per-slot scratch and per-slot *integer* tallies, which
+ * sum exactly in any order. Anything order-sensitive must be keyed
+ * by sample index instead. `parallel.cancel` is observed at every
+ * block boundary (TimeoutError / CancelledError), and the first
+ * exception a body throws is rethrown on the caller.
+ */
+void forEachBlock(
+    std::size_t count, std::uint64_t seed,
+    const exec::ParallelOptions &parallel,
+    const std::function<void(std::size_t slot, Rng &rng,
+                             std::size_t lo, std::size_t hi)> &body);
 
 /** Relative (1-sigma) input uncertainties around a nominal. */
 struct UncertaintySpec
@@ -123,8 +150,8 @@ struct UncertaintyResult
      * Probability that each machine ceiling binds the roofline
      * bound, indexed like the spec platform's computeCeilings() /
      * memoryCeilings(). Empty unless UncertaintySpec::platform is
-     * set; per-chunk tallies are merged in chunk order, so the
-     * probabilities are bit-identical at any thread count. The two
+     * set; the tallies are integer counts, so the probabilities
+     * are bit-identical at any thread count. The two
      * vectors sum to 1 (every sample has exactly one binding
      * ceiling).
      */
@@ -154,10 +181,9 @@ class MonteCarloAnalyzer
      * Draw `count` samples (lognormal multiplicative perturbations,
      * deterministic for a seed) and summarize the outputs.
      *
-     * Runs on the parallel sweep engine. Samples are drawn in
-     * fixed-size blocks, each from its own Rng::fork() substream
-     * keyed by block index, so the result is bit-identical for a
-     * given seed at any thread count.
+     * Runs on forEachBlock: samples are drawn in fixed-size blocks,
+     * each from its own substream keyed by block index, so the
+     * result is bit-identical for a given seed at any thread count.
      *
      * Honours `parallel.cancel`: the loop observes the token at
      * every block boundary, so a run under a ScenarioRunner
@@ -182,8 +208,8 @@ class MonteCarloAnalyzer
     runReference(std::size_t count, std::uint64_t seed = 1,
                  const exec::ParallelOptions &parallel = {}) const;
 
-    /** Samples per RNG substream block (the determinism grain). */
-    static constexpr std::size_t sampleBlock = 2048;
+    /** Samples per RNG substream block (sim::sampleBlock). */
+    static constexpr std::size_t sampleBlock = sim::sampleBlock;
 
     /** Samples per SoA kernel invocation inside a block. */
     static constexpr std::size_t kernelBlock = 64;

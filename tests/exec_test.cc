@@ -153,6 +153,19 @@ TEST(Cancellation, DeadlineExpiresASlowParallelLoop)
         TimeoutError);
 }
 
+TEST(Cancellation, HugeDeadlineSaturatesInsteadOfOverflowing)
+{
+    // now() + budget would overflow steady_clock's range; the
+    // deadline saturates to one that never expires. (The source is
+    // inert, so armed() reports the deadline alone.)
+    const exec::CancellationToken token =
+        exec::CancellationToken().withDeadlineAfter(
+            std::chrono::milliseconds::max());
+    EXPECT_TRUE(token.armed());
+    EXPECT_FALSE(token.deadlineExpired());
+    EXPECT_NO_THROW(token.checkpoint());
+}
+
 TEST(Cancellation, UntrippedTokenDoesNotPerturbResults)
 {
     exec::ThreadPool pool(4);

@@ -1,16 +1,20 @@
 /**
  * @file
  * Unit tests for the flight simulator: vehicle integration, the
- * dash-and-stop protocol, the validation harness, and the
- * Monte-Carlo per-ceiling binding tallies.
+ * dash-and-stop protocol, the validation harness, the
+ * Monte-Carlo per-ceiling binding tallies, and the forEachBlock
+ * block-sampling contract.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -508,6 +512,72 @@ TEST(Distribution, FromCountsDependsOnlyOnTheMultiset)
     EXPECT_THROW(Distribution::fromCounts({{1.0, 0}}), ModelError);
     EXPECT_THROW(Distribution::fromCounts({{std::nan(""), 1}}),
                  ModelError);
+}
+
+TEST(ForEachBlock, VisitsEveryIndexOnceOnItsBlockStream)
+{
+    constexpr std::uint64_t seed = 42;
+    // Two full blocks plus a partial one.
+    constexpr std::size_t count = 2 * sampleBlock + 37;
+    for (const std::size_t threads : {1, 2, 8}) {
+        exec::ThreadPool pool(threads);
+        const exec::ParallelOptions parallel{.pool = &pool};
+        const std::size_t slots = exec::maxSlots(parallel);
+        std::vector<std::atomic<int>> visits(count);
+        std::vector<std::atomic<std::size_t>> block_size(3);
+        std::atomic<bool> slots_ok{true};
+        std::atomic<bool> streams_ok{true};
+        forEachBlock(count, seed, parallel,
+                     [&](std::size_t slot, Rng &rng, std::size_t lo,
+                         std::size_t hi) {
+                         slots_ok = slots_ok && slot < slots;
+                         const std::size_t b = lo / sampleBlock;
+                         EXPECT_EQ(lo, b * sampleBlock);
+                         block_size[b] += hi - lo;
+                         Rng expected = Rng(seed).forkAt(b);
+                         for (std::size_t i = lo; i < hi; ++i) {
+                             ++visits[i];
+                             streams_ok = streams_ok &&
+                                          rng.nextU64() ==
+                                              expected.nextU64();
+                         }
+                     });
+        EXPECT_TRUE(slots_ok) << threads << " threads";
+        EXPECT_TRUE(streams_ok) << threads << " threads";
+        EXPECT_EQ(block_size[0], sampleBlock);
+        EXPECT_EQ(block_size[1], sampleBlock);
+        EXPECT_EQ(block_size[2], 37u);
+        EXPECT_TRUE(std::all_of(visits.begin(), visits.end(),
+                                [](const auto &v) { return v == 1; }))
+            << threads << " threads";
+    }
+}
+
+TEST(ForEachBlock, FiredTokenStopsTheSampler)
+{
+    const auto never = [](std::size_t, Rng &, std::size_t,
+                          std::size_t) {
+        ADD_FAILURE() << "a fired token must stop every block";
+    };
+    for (const std::size_t threads : {1, 2, 8}) {
+        exec::ThreadPool pool(threads);
+        const exec::CancellationToken cancelled =
+            exec::CancellationToken::create();
+        cancelled.requestCancel();
+        EXPECT_THROW(forEachBlock(4 * sampleBlock, 1,
+                                  {.pool = &pool, .cancel = cancelled},
+                                  never),
+                     CancelledError);
+
+        const exec::CancellationToken expired =
+            exec::CancellationToken().withDeadlineAfter(
+                std::chrono::milliseconds(1));
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        EXPECT_THROW(forEachBlock(4 * sampleBlock, 1,
+                                  {.pool = &pool, .cancel = expired},
+                                  never),
+                     TimeoutError);
+    }
 }
 
 } // namespace

@@ -12,9 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 
 #include "components/catalog.hh"
@@ -29,29 +26,7 @@
 #include "workload/stage_eval.hh"
 #include "workload/throughput.hh"
 
-/** Global allocation counter backing the zero-allocation test. */
-std::atomic<std::size_t> g_heap_allocations{0};
-
-void *
-operator new(std::size_t size)
-{
-    g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
+#include "alloc_guard.hh"
 
 namespace {
 
