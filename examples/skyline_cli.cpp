@@ -72,6 +72,7 @@ printDriverHelp()
         "options for run/run-all:\n"
         "  --set knob=value         study parameter override\n"
         "  --threads N              parallelism for the batch\n"
+        "                           (1 to %zu)\n"
         "  --out dir                artifact directory\n"
         "                           (default artifacts/skyline_cli;\n"
         "                           empty string disables)\n"
@@ -80,7 +81,8 @@ printDriverHelp()
         "                           (cooperative; 0 disables;\n"
         "                           at most 604800000 = 7 days)\n"
         "  --fail-fast              cancel remaining scenarios\n"
-        "                           after the first failure\n");
+        "                           after the first failure\n",
+        exec::maxThreadCount);
 }
 
 int
@@ -139,9 +141,12 @@ parseDriverOptions(int argc, char **argv, int first)
             char *end = nullptr;
             const long parsed = std::strtol(text.c_str(), &end, 10);
             if (end == text.c_str() || (end && *end != '\0') ||
-                parsed < 1 || parsed > 4096) {
-                throw ModelError("--threads expects a positive "
-                                 "integer, got '" + text + "'");
+                parsed < 1 ||
+                parsed > static_cast<long>(exec::maxThreadCount)) {
+                throw ModelError(
+                    "--threads expects an integer in [1, " +
+                    std::to_string(exec::maxThreadCount) + "], got '" +
+                    text + "'");
             }
             options.threads = static_cast<std::size_t>(parsed);
         } else if (arg == "--deadline-ms") {

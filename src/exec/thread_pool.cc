@@ -27,6 +27,11 @@ ThreadPool::ThreadPool(std::size_t threads)
 {
     if (threads < 1)
         throw ModelError("thread pool requires at least one thread");
+    if (threads > maxThreadCount) {
+        throw ModelError("thread pool allows at most " +
+                         std::to_string(maxThreadCount) +
+                         " threads, got " + std::to_string(threads));
+    }
     _workers.reserve(threads - 1);
     for (std::size_t i = 0; i + 1 < threads; ++i)
         _workers.emplace_back([this] { workerLoop(); });
@@ -81,9 +86,8 @@ ThreadPool::onWorkerThread() const
 std::size_t
 ThreadPool::defaultThreadCount()
 {
-    // More threads than this is never a sweep-engine win on any
-    // machine we model for; treat larger requests as typos and clamp.
-    constexpr long max_threads = 1024;
+    // Treat requests above the cap as typos and clamp.
+    constexpr long max_threads = static_cast<long>(maxThreadCount);
 
     if (const char *env = std::getenv("UAVF1_THREADS")) {
         char *end = nullptr;

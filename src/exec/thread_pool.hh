@@ -26,6 +26,11 @@
 
 namespace uavf1::exec {
 
+/** The most threads a pool may have. More is never a sweep-engine
+ * win on any machine we model, so larger requests are rejected
+ * (ThreadPool, the CLI's --threads) or clamped (UAVF1_THREADS). */
+inline constexpr std::size_t maxThreadCount = 1024;
+
 /**
  * A fixed set of worker threads draining a task queue.
  */
@@ -33,8 +38,9 @@ class ThreadPool
 {
   public:
     /**
-     * @param threads total parallelism including the caller (>= 1);
-     *        the pool spawns threads-1 workers
+     * @param threads total parallelism including the caller, in
+     *        [1, maxThreadCount]; the pool spawns threads-1 workers
+     * @throws ModelError outside that range, before any thread starts
      */
     explicit ThreadPool(std::size_t threads);
 
@@ -59,8 +65,8 @@ class ThreadPool
     /**
      * The size global() would pick (env override or hardware).
      * A non-numeric, zero, or negative UAVF1_THREADS raises
-     * ModelError; absurdly large values are clamped to 1024 with a
-     * warning on stderr.
+     * ModelError; values above maxThreadCount are clamped to it with
+     * a warning on stderr.
      */
     static std::size_t defaultThreadCount();
 

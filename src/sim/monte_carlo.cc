@@ -14,6 +14,13 @@
  * is re-run through the scalar loop from a saved RNG state, so the
  * thrown error (and every committed value before it) matches it
  * exactly.
+ *
+ * Neither keeps a buffer of every sample: a block body writes its
+ * outputs into its slot's Arena rows, and one DistributionFold per
+ * output takes them as the block ends (block-order moments, and
+ * value windows for the order statistics). run() sets the windows
+ * from a pilot pass over the run's first 16 blocks when the run is
+ * more than 4 pilots long; runReference() keeps every sample.
  */
 
 #include "sim/monte_carlo.hh"
@@ -21,10 +28,14 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <numeric>
 
 #include "core/f1_batch.hh"
 #include "platform/evaluation_plan.hh"
 #include "simd/pack.hh"
+#include "simd/simd.hh"
 #include "support/errors.hh"
 #include "support/rng.hh"
 #include "support/validate.hh"
@@ -34,6 +45,9 @@
 namespace uavf1::sim {
 
 namespace {
+
+/** The summarized percentiles. */
+constexpr double kPercentiles[3] = {5.0, 50.0, 95.0};
 
 /** The (lo, lo + 1) rank pairs bracketing p5/p50/p95 of n sorted
  * values, and each percentile's interpolation fraction. */
@@ -45,7 +59,6 @@ struct PercentileRanks
     explicit PercentileRanks(std::size_t n)
     {
         for (std::size_t i = 0; i < 3; ++i) {
-            constexpr double kPercentiles[3] = {5.0, 50.0, 95.0};
             const double rank = kPercentiles[i] / 100.0 *
                                 static_cast<double>(n - 1);
             const std::size_t lo = static_cast<std::size_t>(rank);
@@ -198,6 +211,307 @@ Distribution::fromCounts(
     return out;
 }
 
+namespace {
+
+/**
+ * The order statistics of `values` at each of `positions` (each <
+ * values.size()), in that order. Positions are pinned in ascending
+ * order, each nth_element running only right of the last pinned
+ * one; a position right after it is the minimum of that range (the
+ * lo + 1 half of a percentile pair), a scan instead of a partition.
+ * Reorders `values`.
+ */
+std::vector<double>
+orderStatistics(std::vector<double> &values,
+                const std::vector<std::size_t> &positions)
+{
+    std::vector<std::size_t> order(positions.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return positions[a] < positions[b];
+              });
+    std::vector<double> stat(positions.size());
+    std::size_t pinned = 0; // values[0, pinned) hold their ranks.
+    for (const std::size_t i : order) {
+        const std::size_t k = positions[i];
+        const auto at = values.begin() + static_cast<std::ptrdiff_t>(k);
+        if (k == pinned) {
+            std::iter_swap(at, std::min_element(at, values.end()));
+        } else if (k > pinned) {
+            std::nth_element(values.begin() +
+                                 static_cast<std::ptrdiff_t>(pinned),
+                             at, values.end());
+        }
+        stat[i] = *at;
+        pinned = std::max(pinned, k + 1);
+    }
+    return stat;
+}
+
+/**
+ * Sort values[0, n) against the three windows, W lanes at a time:
+ * add the number of values below, inside and above window j to
+ * counts[j][0..2], and append the values inside it to kept[j]
+ * unless it is a single value (lo == hi, a tie: its count says it
+ * all). Counts ride in double lanes (exact below 2^53). Most packs
+ * have no lane to keep and take no per-lane branch.
+ */
+template <std::size_t W>
+void
+windowStrides(const double *values, std::size_t n,
+              const DistributionFold::Windows &windows,
+              std::array<std::array<double, 3>, 3> &counts,
+              std::array<std::vector<double>, 3> &kept)
+{
+    using P = simd::Pack<double, W>;
+    const P one = P::broadcast(1.0);
+    const P zero = P::broadcast(0.0);
+    P lo[3], hi[3], lanes[3][3];
+    bool stores[3];
+    for (std::size_t j = 0; j < 3; ++j) {
+        lo[j] = P::broadcast(windows[j].first);
+        hi[j] = P::broadcast(windows[j].second);
+        for (P &lane : lanes[j])
+            lane = zero;
+        stores[j] = windows[j].first < windows[j].second;
+    }
+    for (std::size_t i = 0; i + W <= n; i += W) {
+        const P v = P::load(values + i);
+        std::size_t to_keep = 0;
+        for (std::size_t j = 0; j < 3; ++j) {
+            const auto inside = (v >= lo[j]) & (v <= hi[j]);
+            lanes[j][0] = lanes[j][0] + select(v < lo[j], one, zero);
+            lanes[j][1] = lanes[j][1] + select(inside, one, zero);
+            lanes[j][2] = lanes[j][2] + select(v > hi[j], one, zero);
+            if (stores[j])
+                to_keep += count(inside);
+        }
+        if (to_keep == 0)
+            continue;
+        for (std::size_t l = i; l < i + W; ++l) {
+            for (std::size_t j = 0; j < 3; ++j) {
+                if (stores[j] && values[l] >= windows[j].first &&
+                    values[l] <= windows[j].second)
+                    kept[j].push_back(values[l]);
+            }
+        }
+    }
+    for (std::size_t j = 0; j < 3; ++j) {
+        for (std::size_t k = 0; k < 3; ++k) {
+            double lane[W];
+            lanes[j][k].store(lane);
+            for (const double c : lane)
+                counts[j][k] += c;
+        }
+    }
+}
+
+/** Window half-width, in binomial standard deviations of a pilot
+ * rank. */
+constexpr double windowSigmas = 6.0;
+
+/** Pilot samples run() derives its fold windows from. */
+constexpr std::size_t pilotSamples = 16 * sampleBlock;
+
+/** Fold windows, one set per output, that keep every sample. */
+std::array<DistributionFold::Windows, 3>
+keepEverySample()
+{
+    const DistributionFold::Windows all = DistributionFold::unbounded();
+    return {all, all, all};
+}
+
+} // namespace
+
+DistributionFold::Windows
+DistributionFold::unbounded()
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    Windows windows;
+    windows.fill({-inf, inf});
+    return windows;
+}
+
+DistributionFold::DistributionFold(std::size_t count,
+                                   std::size_t slots,
+                                   const Windows &windows)
+    : _count(count), _windows(windows), _slots(slots),
+      _partials((count + sampleBlock - 1) / sampleBlock)
+{
+    if (count == 0)
+        throw ModelError("distribution requires samples");
+    for (const auto &[lo, hi] : windows) {
+        if (!(lo <= hi))
+            throw ModelError("distribution windows need lo <= hi");
+    }
+    if (std::find(windows.begin(), windows.end(), unbounded()[0]) !=
+        windows.end())
+        _all.resize(count);
+}
+
+void
+DistributionFold::fold(std::size_t slot, std::size_t lo,
+                       const double *values, std::size_t n)
+{
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        sum += values[i];
+    const double mean = sum / static_cast<double>(n);
+    double m2 = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        m2 += (values[i] - mean) * (values[i] - mean);
+    _partials[lo / sampleBlock] = {n, mean, m2};
+
+    if (!_all.empty()) {
+        if (std::any_of(values, values + n,
+                        [](double v) { return std::isnan(v); }))
+            throw ModelError("distribution values must not be NaN");
+        std::copy(values, values + n,
+                  _all.begin() + static_cast<std::ptrdiff_t>(lo));
+        return;
+    }
+    Slot &state = _slots[slot];
+    std::array<std::array<double, 3>, 3> counts{};
+    std::size_t main = 0;
+    if (simd::useNative()) {
+        main = n - n % simd::nativeWidth;
+        windowStrides<simd::nativeWidth>(values, main, _windows,
+                                         counts, state.kept);
+    }
+    windowStrides<1>(values + main, n - main, _windows, counts,
+                     state.kept);
+    for (std::size_t j = 0; j < 3; ++j) {
+        // NaN compares false on every side: it alone goes missing.
+        if (counts[j][0] + counts[j][1] + counts[j][2] !=
+            static_cast<double>(n))
+            throw ModelError("distribution values must not be NaN");
+        state.below[j] += static_cast<std::uint64_t>(counts[j][0]);
+        state.inside[j] += static_cast<std::uint64_t>(counts[j][1]);
+    }
+}
+
+std::vector<double>
+DistributionFold::gather(std::size_t j)
+{
+    std::size_t total = 0;
+    for (const Slot &state : _slots)
+        total += state.kept[j].size();
+    std::vector<double> kept = std::move(_slots[0].kept[j]);
+    kept.reserve(total);
+    for (std::size_t slot = 1; slot < _slots.size(); ++slot) {
+        std::vector<double> &part = _slots[slot].kept[j];
+        kept.insert(kept.end(), part.begin(), part.end());
+        part = {};
+    }
+    return kept;
+}
+
+std::optional<Distribution>
+DistributionFold::finish()
+{
+    // Chan et al.: (na, ma, Ma) and (nb, mb, Mb) merge to mean
+    // ma + d * nb / n and M2 Ma + Mb + d^2 * na * nb / n, for
+    // d = mb - ma and n = na + nb; applied in block order.
+    Moments total = _partials.front();
+    for (std::size_t b = 1; b < _partials.size(); ++b) {
+        const Moments &next = _partials[b];
+        const double na = static_cast<double>(total.n);
+        const double nb = static_cast<double>(next.n);
+        const double n = na + nb;
+        const double delta = next.mean - total.mean;
+        total.mean += delta * nb / n;
+        total.m2 += next.m2 + delta * delta * na * nb / n;
+        total.n += next.n;
+    }
+    Distribution out;
+    out.mean = total.mean;
+    out.stddev =
+        _count > 1
+            ? std::sqrt(total.m2 / static_cast<double>(_count - 1))
+            : 0.0;
+
+    const PercentileRanks percentiles(_count);
+    std::array<double, 6> stat{};
+    if (!_all.empty()) {
+        const std::vector<double> values = orderStatistics(
+            _all, {percentiles.ranks.begin(), percentiles.ranks.end()});
+        std::copy(values.begin(), values.end(), stat.begin());
+        percentiles.interpolate(stat, out);
+        return out;
+    }
+    // Rank r lies in window j when below_j <= r < below_j + inside_j.
+    std::array<bool, 6> found{};
+    for (std::size_t j = 0; j < 3; ++j) {
+        std::uint64_t below = 0;
+        std::uint64_t inside = 0;
+        for (const Slot &state : _slots) {
+            below += state.below[j];
+            inside += state.inside[j];
+        }
+        std::vector<std::size_t> which;
+        std::vector<std::size_t> positions;
+        for (std::size_t i = 0; i < 6; ++i) {
+            const std::size_t r = percentiles.ranks[i];
+            if (!found[i] && r >= below && r - below < inside) {
+                which.push_back(i);
+                positions.push_back(r - below);
+                found[i] = true;
+            }
+        }
+        if (_windows[j].first == _windows[j].second) {
+            // A tie window keeps no values: they all equal lo.
+            for (const std::size_t i : which)
+                stat[i] = _windows[j].first;
+        } else if (!which.empty()) {
+            std::vector<double> kept = gather(j);
+            const std::vector<double> values =
+                orderStatistics(kept, positions);
+            for (std::size_t k = 0; k < which.size(); ++k)
+                stat[which[k]] = values[k];
+        }
+    }
+    if (std::find(found.begin(), found.end(), false) != found.end())
+        return std::nullopt;
+    percentiles.interpolate(stat, out);
+    return out;
+}
+
+DistributionFold::Windows
+DistributionFold::pilotWindows()
+{
+    if (_all.empty())
+        throw ModelError("a pilot fold needs unbounded windows");
+    const double n = static_cast<double>(_all.size());
+    // Each percentile's window spans pilot positions
+    // [floor(c - margin), ceil(c + margin) + 1] around its centre
+    // c = q (n - 1) (the + 1 covers the lo + 1 rank); a position
+    // past the pilot is an infinite edge.
+    Windows windows = unbounded();
+    std::vector<std::size_t> positions;
+    std::vector<double *> edges;
+    for (std::size_t i = 0; i < 3; ++i) {
+        const double q = kPercentiles[i] / 100.0;
+        const double centre = q * (n - 1.0);
+        const double margin =
+            windowSigmas * std::sqrt(n * q * (1.0 - q));
+        const double lo = std::floor(centre - margin);
+        const double hi = std::ceil(centre + margin) + 1.0;
+        if (lo >= 0.0) {
+            positions.push_back(static_cast<std::size_t>(lo));
+            edges.push_back(&windows[i].first);
+        }
+        if (hi <= n - 1.0) {
+            positions.push_back(static_cast<std::size_t>(hi));
+            edges.push_back(&windows[i].second);
+        }
+    }
+    const std::vector<double> values = orderStatistics(_all, positions);
+    for (std::size_t k = 0; k < edges.size(); ++k)
+        *edges[k] = values[k];
+    return windows;
+}
+
 MonteCarloAnalyzer::MonteCarloAnalyzer(const UncertaintySpec &spec)
     : _spec(spec)
 {
@@ -291,12 +605,19 @@ drawFactor(const PerturbParams &p, Rng &rng)
     return std::exp(p.mu + p.sqrtSigma * rng.normal());
 }
 
-/** Per-slot scratch for the batched path: one sub-batch of SoA
- * lanes plus the plan scratch, reused across blocks. Aligned to
- * the widest vector the build could select so the kernels' stride
- * loads never split a cache line. */
+/** Per-slot scratch, reused across blocks: the block's three
+ * output rows, and for the batched path one sub-batch of SoA lanes
+ * plus the plan scratch. Aligned to the widest vector the build
+ * could select so the kernels' stride loads never split a cache
+ * line. */
 struct alignas(64) Arena
 {
+    /** Outputs of the current block; sample i lands at
+     * i % sampleBlock. */
+    double vSafe[sampleBlock];
+    double knee[sampleBlock];
+    double roof[sampleBlock];
+
     static constexpr std::size_t cap =
         MonteCarloAnalyzer::kernelBlock;
     static_assert(cap % simd::nativeWidth == 0,
@@ -320,7 +641,8 @@ struct alignas(64) Arena
  * batched kernels or the scalar loop. Each slot owns one tally row
  * [bounds(4) | flat ceiling slots | stage * 3 + kind], padded to a
  * cache line; rows are summed after the loop (exact, since the
- * tallies are integers). Outputs are written at their sample index.
+ * tallies are integers). A block's outputs go to its slot's Arena
+ * rows, and three DistributionFolds take them as the block ends.
  */
 class Sampler
 {
@@ -357,10 +679,45 @@ class Sampler
         _stride = 4 + _ceilings + _stages * 3 +
                   64 / sizeof(std::uint64_t);
         _tallies.assign(slots * _stride, 0);
-        _arenas.resize(slots);
-        _vSafe.resize(count);
-        _knee.resize(count);
-        _roof.resize(count);
+        // Default-initialized: a small run never touches the pages
+        // of the output rows it does not fill.
+        _arenas.reset(new Arena[slots]);
+        _slots = slots;
+    }
+
+    /** A block body: scalar() or batched(). */
+    using Body = void (Sampler::*)(std::size_t, Rng &, std::size_t,
+                                   std::size_t);
+
+    /**
+     * One sampling pass over samples [0, count) with fresh tallies
+     * and folds: each block runs `body`, then the three folds take
+     * its rows. run() passes a pilot prefix before the full run.
+     */
+    void pass(std::size_t count, std::uint64_t seed,
+              const exec::ParallelOptions &parallel, Body body,
+              const std::array<DistributionFold::Windows, 3> &windows)
+    {
+        std::fill(_tallies.begin(), _tallies.end(), 0);
+        _folds.clear();
+        for (const DistributionFold::Windows &w : windows)
+            _folds.emplace_back(count, _slots, w);
+        forEachBlock(count, seed, parallel,
+                     [&](std::size_t slot, Rng &rng, std::size_t lo,
+                         std::size_t hi) {
+                         (this->*body)(slot, rng, lo, hi);
+                         const Arena &arena = _arenas[slot];
+                         _folds[0].fold(slot, lo, arena.vSafe, hi - lo);
+                         _folds[1].fold(slot, lo, arena.knee, hi - lo);
+                         _folds[2].fold(slot, lo, arena.roof, hi - lo);
+                     });
+    }
+
+    /** Each fold's windows for the full run, after a pilot pass. */
+    std::array<DistributionFold::Windows, 3> pilotWindows()
+    {
+        return {_folds[0].pilotWindows(), _folds[1].pilotWindows(),
+                _folds[2].pilotWindows()};
     }
 
     /**
@@ -372,6 +729,7 @@ class Sampler
     void scalar(std::size_t slot, Rng &rng, std::size_t lo,
                 std::size_t hi)
     {
+        Arena &arena = _arenas[slot];
         std::uint64_t *tally = &_tallies[slot * _stride];
         std::uint64_t *ceilings = tally + 4;
         std::uint64_t *stages = ceilings + _ceilings;
@@ -440,9 +798,10 @@ class Sampler
                 inputs.sensorRate.value() * drawFactor(_p_sensor, rng));
 
             core::F1Model::analyzeInto(inputs, analysis);
-            _vSafe[i] = analysis.safeVelocity.value();
-            _knee[i] = analysis.kneeThroughput.value();
-            _roof[i] = analysis.roofVelocity.value();
+            arena.vSafe[i % sampleBlock] = analysis.safeVelocity.value();
+            arena.knee[i % sampleBlock] =
+                analysis.kneeThroughput.value();
+            arena.roof[i % sampleBlock] = analysis.roofVelocity.value();
             ++tally[static_cast<std::size_t>(analysis.bound)];
         }
     }
@@ -519,13 +878,13 @@ class Sampler
             }
 
             // Phase C: the F-1 block kernel, writing the output
-            // lanes in place.
+            // rows in place.
+            const std::size_t row = sub % sampleBlock;
             ok = core::analyzeBlock(
                      arena.aMax, arena.range, arena.sensorRate,
                      arena.computeRate, nominal.controlRate.value(),
-                     nominal.kneeFraction, m, _vSafe.data() + sub,
-                     _knee.data() + sub, _roof.data() + sub,
-                     arena.bound) &&
+                     nominal.kneeFraction, m, arena.vSafe + row,
+                     arena.knee + row, arena.roof + row, arena.bound) &&
                  ok;
 
             if (!ok) {
@@ -549,9 +908,16 @@ class Sampler
         }
     }
 
-    /** Sum the slot rows and build the result. */
-    UncertaintyResult summarize()
+    /** Sum the slot rows and build the result; nullopt when a
+     * percentile rank missed its fold window. */
+    std::optional<UncertaintyResult> summarize()
     {
+        std::optional<Distribution> outputs[3];
+        for (std::size_t k = 0; k < 3; ++k) {
+            outputs[k] = _folds[k].finish();
+            if (!outputs[k])
+                return std::nullopt;
+        }
         std::vector<std::uint64_t> totals(_stride, 0);
         for (std::size_t k = 0; k < _tallies.size(); ++k)
             totals[k % _stride] += _tallies[k];
@@ -584,12 +950,9 @@ class Sampler
             stats.probMemoryBound = prob(base + 1);
             stats.probMeasured = prob(base + 2);
         }
-        result.safeVelocity =
-            Distribution::fromSamples(std::move(_vSafe));
-        result.kneeThroughput =
-            Distribution::fromSamples(std::move(_knee));
-        result.roofVelocity =
-            Distribution::fromSamples(std::move(_roof));
+        result.safeVelocity = *outputs[0];
+        result.kneeThroughput = *outputs[1];
+        result.roofVelocity = *outputs[2];
         return result;
     }
 
@@ -612,8 +975,9 @@ class Sampler
     std::size_t _ceilings = 0;
     std::size_t _stride = 0;
     std::vector<std::uint64_t> _tallies;
-    std::vector<Arena> _arenas;
-    std::vector<double> _vSafe, _knee, _roof;
+    std::size_t _slots = 0;
+    std::unique_ptr<Arena[]> _arenas;
+    std::vector<DistributionFold> _folds;
 };
 
 } // namespace
@@ -623,12 +987,22 @@ MonteCarloAnalyzer::run(std::size_t count, std::uint64_t seed,
                         const exec::ParallelOptions &parallel) const
 {
     Sampler sampler(_spec, count, parallel);
-    forEachBlock(count, seed, parallel,
-                 [&](std::size_t slot, Rng &rng, std::size_t lo,
-                     std::size_t hi) {
-                     sampler.batched(slot, rng, lo, hi);
-                 });
-    return sampler.summarize();
+    std::array<DistributionFold::Windows, 3> windows = keepEverySample();
+    // The pilot is blocks 0..15 of this very run (a full block
+    // depends only on (seed, b)); small runs keep every sample.
+    if (count > 4 * pilotSamples) {
+        sampler.pass(pilotSamples, seed, parallel, &Sampler::batched,
+                     windows);
+        windows = sampler.pilotWindows();
+    }
+    sampler.pass(count, seed, parallel, &Sampler::batched, windows);
+    if (std::optional<UncertaintyResult> result = sampler.summarize())
+        return *result;
+    // A rank missed its window: keep every sample this time, which
+    // gives the very same result.
+    sampler.pass(count, seed, parallel, &Sampler::batched,
+                 keepEverySample());
+    return *sampler.summarize();
 }
 
 UncertaintyResult
@@ -637,12 +1011,9 @@ MonteCarloAnalyzer::runReference(
     const exec::ParallelOptions &parallel) const
 {
     Sampler sampler(_spec, count, parallel);
-    forEachBlock(count, seed, parallel,
-                 [&](std::size_t slot, Rng &rng, std::size_t lo,
-                     std::size_t hi) {
-                     sampler.scalar(slot, rng, lo, hi);
-                 });
-    return sampler.summarize();
+    sampler.pass(count, seed, parallel, &Sampler::scalar,
+                 keepEverySample());
+    return *sampler.summarize();
 }
 
 } // namespace uavf1::sim

@@ -14,6 +14,7 @@
 #ifndef UAVF1_SIM_MONTE_CARLO_HH
 #define UAVF1_SIM_MONTE_CARLO_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -42,10 +43,11 @@ inline constexpr std::size_t sampleBlock = 2048;
  * (seed, b, count), never on the thread count. `slot` is
  * exec::parallelForSlots' stable slot (< exec::maxSlots(parallel)):
  * it indexes per-slot scratch and per-slot *integer* tallies, which
- * sum exactly in any order. Anything order-sensitive must be keyed
- * by sample index instead. `parallel.cancel` is observed at every
- * block boundary (TimeoutError / CancelledError), and the first
- * exception a body throws is rethrown on the caller.
+ * sum exactly in any order. Anything order-sensitive (a double sum)
+ * must be keyed by block index instead: one partial per block,
+ * merged in block order after the loop. `parallel.cancel` is
+ * observed at every block boundary (TimeoutError / CancelledError),
+ * and the first exception a body throws is rethrown on the caller.
  */
 void forEachBlock(
     std::size_t count, std::uint64_t seed,
@@ -136,6 +138,108 @@ struct Distribution
     fromCounts(std::vector<std::pair<double, std::uint64_t>> counts);
 };
 
+/**
+ * The same summary as Distribution::fromSamples, folded one sample
+ * block at a time instead of from a buffer of every sample: the
+ * Monte-Carlo reduction.
+ *
+ * Moments: each fold() records its block's (n, mean, M2) partial,
+ * keyed by block index; finish() merges the partials in block order
+ * with Chan et al.'s parallel-variance update. mean and stddev thus
+ * depend only on the blocks' contents, never on which slot or thread
+ * folded them, and agree with fromSamples' two-pass sums to rounding
+ * (ULP level).
+ *
+ * Order statistics: p5/p50/p95 need six ranks (fromSamples' ranks
+ * and interpolation). Each percentile has a closed value window
+ * [lo, hi]; a fold counts the values below, inside and above each
+ * window and keeps the values inside it in per-slot buffers (a
+ * multiset, so the order they land in does not matter; a window
+ * with lo == hi keeps only its count). Rank r is then selected
+ * from a window's kept values at r - below, which is exactly
+ * fromSamples' rank-r order statistic whenever below <= r <
+ * below + inside. Windows change only memory, never values: when a
+ * rank misses every window finish() says so, and the caller folds
+ * again with unbounded() windows. A [-inf, +inf] window keeps every
+ * value, in one buffer at its sample index. pilotWindows() derives
+ * tight windows from a pilot fold.
+ */
+class DistributionFold
+{
+  public:
+    /** One closed value window [lo, hi] per percentile (p5, p50,
+     * p95). */
+    using Windows = std::array<std::pair<double, double>, 3>;
+
+    /** [-inf, +inf] windows: the store-everything fold. */
+    static Windows unbounded();
+
+    /**
+     * @param count samples that will be folded, in blocks of
+     *        sampleBlock (the last one partial)
+     * @param slots distinct slot indices fold() may receive
+     * @param windows per-percentile value windows
+     */
+    DistributionFold(std::size_t count, std::size_t slots,
+                     const Windows &windows = unbounded());
+
+    /**
+     * Fold samples [lo, lo + n): lo is a multiple of sampleBlock and
+     * n that block's size. Concurrent calls are safe as long as they
+     * pass distinct slots.
+     *
+     * @throws ModelError when a value is NaN (it falls below, inside
+     *         and above no window)
+     */
+    void fold(std::size_t slot, std::size_t lo, const double *values,
+              std::size_t n);
+
+    /**
+     * The summary once every block is folded, or nullopt when a
+     * rank fell outside its window. Consumes the kept values.
+     */
+    std::optional<Distribution> finish();
+
+    /**
+     * Windows for a larger run, from this fold of a pilot (a prefix
+     * of that run, folded with unbounded() windows): each spans the
+     * pilot's order statistics at its percentile +- 6 sigma of the
+     * binomial rank spread; an edge past the pilot is infinite.
+     * Consumes the kept values.
+     *
+     * @throws ModelError when this fold's windows are not unbounded
+     */
+    Windows pilotWindows();
+
+  private:
+    /** One block's moments. */
+    struct Moments
+    {
+        std::size_t n = 0;
+        double mean = 0.0;
+        double m2 = 0.0; ///< Sum of squared deviations from mean.
+    };
+
+    /** A slot's counts of values below and inside each window and
+     * its kept values, on its own cache lines. */
+    struct alignas(64) Slot
+    {
+        std::array<std::uint64_t, 3> below{};
+        std::array<std::uint64_t, 3> inside{};
+        std::array<std::vector<double>, 3> kept;
+    };
+
+    /** Window j's kept values, gathered from every slot. */
+    std::vector<double> gather(std::size_t j);
+
+    std::size_t _count;
+    Windows _windows;
+    std::vector<Slot> _slots;
+    /** With an unbounded window: every value, at its sample index. */
+    std::vector<double> _all;
+    std::vector<Moments> _partials; ///< By block index.
+};
+
 /** Monte-Carlo outputs. */
 struct UncertaintyResult
 {
@@ -185,6 +289,17 @@ class MonteCarloAnalyzer
      * each from its own substream keyed by block index, so the
      * result is bit-identical for a given seed at any thread count.
      *
+     * No sample buffer: each block's outputs are folded into a
+     * DistributionFold per output as the block ends. Above 4 pilots
+     * (a pilot is the first 16 blocks, 32768 samples) a pilot pass
+     * sets the fold windows, and memory is about 0.5 B per sample
+     * per output (the ~6% of values the windows keep), down from
+     * 8 B; smaller runs keep every sample. p5/p50/p95 are the exact
+     * order statistics: a rank that misses its window reruns the
+     * pass keeping every sample. mean and stddev merge per-block
+     * partials in block order, within rounding of the two-pass sums
+     * over all samples.
+     *
      * Honours `parallel.cancel`: the loop observes the token at
      * every block boundary, so a run under a ScenarioRunner
      * deadline stops with TimeoutError instead of completing late.
@@ -201,7 +316,10 @@ class MonteCarloAnalyzer
      * Sample-at-a-time reference implementation. run() routes every
      * sample through the batched SoA kernels; this is the original
      * scalar loop, kept as the bit-identity oracle for the property
-     * tests and the baseline side of the perf benches. For any
+     * tests and the baseline side of the perf benches. It is also
+     * the store-everything oracle of run()'s fold windows: it runs
+     * no pilot and keeps every sample (unbounded windows), sharing
+     * only the block-order merge of mean and stddev. For any
      * (spec, count, seed) the two return bit-identical results.
      */
     UncertaintyResult

@@ -470,6 +470,27 @@ TEST(MonteCarloBatch, RunMatchesReferenceAtEveryThreadCount)
     }
 }
 
+TEST(MonteCarloBatch, RunMatchesReferenceAbovePilotSize)
+{
+    // Above 4 pilots of 16 blocks, run() folds through windows set
+    // by a pilot pass, while runReference() keeps every sample; the
+    // partial trailing block and sub-batch are kept.
+    exec::ThreadPool pool(8);
+    const std::size_t count = 4 * 16 * 2048 + 3 * 2048 + 5;
+    for (const sim::UncertaintySpec &spec : monteCarloSpecs()) {
+        const sim::MonteCarloAnalyzer analyzer(spec);
+        const sim::UncertaintyResult reference =
+            analyzer.runReference(count, 11);
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+            exec::ParallelOptions options;
+            options.pool = &pool;
+            options.maxThreads = threads;
+            expectIdentical(reference,
+                            analyzer.run(count, 11, options));
+        }
+    }
+}
+
 /** Exact equality over every field the campaign reports. */
 void
 expectIdentical(const fault::CampaignResult &a,

@@ -32,6 +32,15 @@ TEST(ThreadPool, RequiresAtLeastOneThread)
     EXPECT_THROW(exec::ThreadPool(0), ModelError);
 }
 
+TEST(ThreadPool, RejectsMoreThanTheThreadCap)
+{
+    // The check runs before any worker starts: a pool that threw
+    // with workers running would terminate on their joinable
+    // std::thread destructors instead.
+    EXPECT_THROW(exec::ThreadPool(exec::maxThreadCount + 1),
+                 ModelError);
+}
+
 TEST(ThreadPool, ThreadCountIncludesTheCaller)
 {
     exec::ThreadPool solo(1);
@@ -102,7 +111,8 @@ TEST(ThreadPool, DefaultThreadCountRejectsZeroAndNegative)
 TEST(ThreadPool, DefaultThreadCountClampsAbsurdValues)
 {
     ThreadsEnvGuard guard("999999999");
-    EXPECT_EQ(exec::ThreadPool::defaultThreadCount(), 1024u);
+    EXPECT_EQ(exec::ThreadPool::defaultThreadCount(),
+              exec::maxThreadCount);
 }
 
 TEST(ThreadPool, DefaultThreadCountWithoutEnvIsPositive)

@@ -12,8 +12,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -512,6 +515,195 @@ TEST(Distribution, FromCountsDependsOnlyOnTheMultiset)
     EXPECT_THROW(Distribution::fromCounts({{1.0, 0}}), ModelError);
     EXPECT_THROW(Distribution::fromCounts({{std::nan(""), 1}}),
                  ModelError);
+}
+
+/** Fold `samples` block by block, spreading the blocks over three
+ * slots in a scrambled order, and finish. */
+std::optional<Distribution>
+foldOf(const std::vector<double> &samples,
+       const DistributionFold::Windows &windows)
+{
+    DistributionFold fold(samples.size(), 3, windows);
+    const std::size_t blocks =
+        (samples.size() + sampleBlock - 1) / sampleBlock;
+    for (std::size_t k = 0; k < blocks; ++k) {
+        const std::size_t b = blocks - 1 - k; // Last block first.
+        const std::size_t lo = b * sampleBlock;
+        fold.fold(b % 3, lo, samples.data() + lo,
+                  std::min(samples.size(), lo + sampleBlock) - lo);
+    }
+    return fold.finish();
+}
+
+/** The rank-r order statistic of `samples`. */
+double
+rankOf(std::vector<double> samples, std::size_t r)
+{
+    std::sort(samples.begin(), samples.end());
+    return samples[r];
+}
+
+/** Exact percentiles; mean and stddev to rounding. */
+void
+expectMatches(const Distribution &got, const Distribution &expected,
+              const std::string &label)
+{
+    EXPECT_EQ(got.p5, expected.p5) << label;
+    EXPECT_EQ(got.p50, expected.p50) << label;
+    EXPECT_EQ(got.p95, expected.p95) << label;
+    // Block partials merge in another order than fromSamples' sums
+    // (relative to the data's magnitude: a constant multiset's
+    // stddev is rounding noise around 0).
+    const double scale =
+        std::max(std::abs(expected.mean), std::abs(expected.p95));
+    EXPECT_NEAR(got.mean, expected.mean, 1e-12 * scale) << label;
+    EXPECT_NEAR(got.stddev, expected.stddev, 1e-12 * scale) << label;
+}
+
+TEST(DistributionFold, MatchesFromSamplesOnRandomMultisets)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    Rng rng(20261017);
+    // 10 is the smallest Monte-Carlo run; the rest span one to
+    // three sampleBlock blocks, the last one partial.
+    const std::vector<std::size_t> sizes = {10, 21, 100, 2048, 5003};
+    int checked = 0;
+    for (const std::size_t n : sizes) {
+        for (int shape = 0; shape < 3; ++shape) {
+            // Shapes: continuous values, heavy ties over three
+            // values, a single distinct value.
+            const double pool[3] = {4.25 + rng.uniform(),
+                                    9.5 + rng.uniform(),
+                                    0.5 + rng.uniform()};
+            std::vector<double> samples(n);
+            for (double &v : samples) {
+                if (shape == 0)
+                    v = 10.0 * rng.uniform() - 2.0;
+                else if (shape == 1)
+                    v = pool[static_cast<std::size_t>(
+                        rng.uniform() * 2.999)];
+                else
+                    v = pool[0];
+            }
+            const Distribution expected =
+                Distribution::fromSamples(samples);
+            const std::string label = "n=" + std::to_string(n) +
+                                      " shape " + std::to_string(shape);
+
+            // Unbounded windows keep everything.
+            const auto all =
+                foldOf(samples, DistributionFold::unbounded());
+            ASSERT_TRUE(all) << label;
+            expectMatches(*all, expected, label);
+
+            // Windows whose edges are the needed order statistics
+            // themselves: every rank sits on an edge. With ties the
+            // edge value also extends past the window, on both
+            // sides, and must still be counted exactly once.
+            const double q = static_cast<double>(n - 1);
+            const auto lo = [&](double p) {
+                return static_cast<std::size_t>(p * q);
+            };
+            const auto hi = [&](double p) {
+                return std::min(lo(p) + 1, n - 1);
+            };
+            DistributionFold::Windows tight;
+            const double ps[3] = {0.05, 0.50, 0.95};
+            for (std::size_t i = 0; i < 3; ++i)
+                tight[i] = {rankOf(samples, lo(ps[i])),
+                            rankOf(samples, hi(ps[i]))};
+            const auto edges = foldOf(samples, tight);
+            ASSERT_TRUE(edges) << label;
+            expectMatches(*edges, expected, label);
+
+            // Windows wholly above or below the ranks miss them;
+            // the caller then refolds with unbounded windows.
+            const double min = rankOf(samples, 0);
+            const double max = rankOf(samples, n - 1);
+            DistributionFold::Windows above;
+            above.fill({max + 1.0, inf});
+            EXPECT_FALSE(foldOf(samples, above)) << label;
+            DistributionFold::Windows below;
+            below.fill({-inf, min - 1.0});
+            EXPECT_FALSE(foldOf(samples, below)) << label;
+            if (shape == 0) {
+                // Distinct values: the p50 window alone misses.
+                above = tight;
+                above[1] = {max + 1.0, inf};
+                EXPECT_FALSE(foldOf(samples, above)) << label;
+            }
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, static_cast<int>(sizes.size()) * 3);
+}
+
+TEST(DistributionFold, TiesOnAWindowEdgeAreCountedOnce)
+{
+    // 40% of the values tie at 7.0, across the p50 ranks; the p50
+    // window's edges sit on the tie.
+    std::vector<double> samples;
+    for (int i = 0; i < 3000; ++i)
+        samples.push_back(i % 5 < 2 ? 7.0 : 1.0 + 0.004 * i);
+    const Distribution expected = Distribution::fromSamples(samples);
+    EXPECT_EQ(expected.p50, 7.0);
+    for (const auto &window :
+         {std::pair{7.0, 7.0}, std::pair{7.0, 8.0}, std::pair{6.0, 7.0}}) {
+        DistributionFold::Windows windows =
+            DistributionFold::unbounded();
+        windows[0] = {1.0, 3.0};
+        windows[1] = window;
+        windows[2] = {11.0, 13.0};
+        const auto got = foldOf(samples, windows);
+        ASSERT_TRUE(got) << window.first << ", " << window.second;
+        expectMatches(*got, expected, "tie on an edge");
+    }
+}
+
+TEST(DistributionFold, PilotWindowsKeepAFewPercentAndStayExact)
+{
+    // A pilot of the first 16 blocks sets the windows of a run over
+    // 100 blocks, as MonteCarloAnalyzer::run() does.
+    Rng rng(99);
+    std::vector<double> samples(100 * sampleBlock);
+    for (double &v : samples)
+        v = std::exp(0.3 * rng.normal());
+    const std::size_t pilot_size = 16 * sampleBlock;
+    DistributionFold pilot(pilot_size, 1);
+    for (std::size_t lo = 0; lo < pilot_size; lo += sampleBlock)
+        pilot.fold(0, lo, samples.data() + lo, sampleBlock);
+    const DistributionFold::Windows windows = pilot.pilotWindows();
+    std::size_t kept = 0;
+    for (const auto &[lo, hi] : windows) {
+        EXPECT_LT(lo, hi);
+        kept += static_cast<std::size_t>(
+            std::count_if(samples.begin(), samples.end(),
+                          [&](double v) { return v >= lo && v <= hi; }));
+    }
+    EXPECT_LT(kept, samples.size() / 10);
+    const auto got = foldOf(samples, windows);
+    ASSERT_TRUE(got);
+    expectMatches(*got, Distribution::fromSamples(samples), "pilot");
+
+    // Only an unbounded fold can act as a pilot.
+    DistributionFold bounded(pilot_size, 1, windows);
+    EXPECT_THROW(bounded.pilotWindows(), ModelError);
+}
+
+TEST(DistributionFold, RejectsNaNAndBadWindows)
+{
+    std::vector<double> samples(10, 1.0);
+    samples[7] = std::nan("");
+    EXPECT_THROW(foldOf(samples, DistributionFold::unbounded()),
+                 ModelError);
+    // Bounded windows: the NaN is missing from every count.
+    DistributionFold::Windows windows;
+    windows.fill({0.5, 2.0});
+    EXPECT_THROW(foldOf(samples, windows), ModelError);
+
+    windows[2] = {2.0, 1.0};
+    EXPECT_THROW(DistributionFold(10, 1, windows), ModelError);
+    EXPECT_THROW(DistributionFold(0, 1), ModelError);
 }
 
 TEST(ForEachBlock, VisitsEveryIndexOnceOnItsBlockStream)

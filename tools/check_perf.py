@@ -7,16 +7,19 @@ baseline and exits non-zero when
   * any ``*_batch_ns_per_eval`` metric regressed by more than the
     threshold (default 25%, matching the headroom CI machines need
     over the machine that recorded the baseline), or
-  * the artifact reports ``bit_identical: false`` — a correctness
-    failure dressed up as a perf number.
+  * any key of the artifact ending in ``bit_identical`` (e.g.
+    ``bit_identical``, ``adapter_bit_identical``) is not ``true``, or
+    it has no such key at all — a correctness failure dressed up as a
+    perf number.
 
 Reference-path timings are reported but never gated: the scalar
 oracle's speed is not a property this repo defends.
 
 Bootstrap mode: when the baseline file does not exist yet — a brand
-new benchmark landing in the same PR as its first baseline — the
-gate warns and passes instead of crashing, but still fails on
-``bit_identical: false`` (correctness does not bootstrap).
+new benchmark landing in the same change as its first baseline, or a
+bench gated on identity only — the gate warns and passes instead of
+crashing, but still checks every ``*bit_identical`` key
+(correctness does not bootstrap).
 
 Usage:
     tools/check_perf.py CURRENT BASELINE [--threshold 0.25]
@@ -25,6 +28,20 @@ Usage:
 import argparse
 import json
 import sys
+
+
+def identity_failures(current):
+    """Failures unless the artifact has a ``*bit_identical`` key and
+    every such key is true."""
+    keys = sorted(key for key in current if key.endswith("bit_identical"))
+    if not keys:
+        return ["artifact reports no *bit_identical key"]
+    return [
+        "%s is %r — a fast path diverged from its oracle"
+        % (key, current[key])
+        for key in keys
+        if current[key] is not True
+    ]
 
 
 def main() -> int:
@@ -55,24 +72,16 @@ def main() -> int:
             if key.endswith("_ns_per_eval"):
                 print("%-36s %8.2f ns (no baseline)"
                       % (key, current[key]))
-        if current.get("bit_identical") is not True:
-            print(
-                "\nFAIL:\n  - bit_identical is %r — batch kernels "
-                "diverged from the scalar oracle"
-                % (current.get("bit_identical"),),
-                file=sys.stderr,
-            )
+        failures = identity_failures(current)
+        if failures:
+            print("\nFAIL:", file=sys.stderr)
+            for failure in failures:
+                print("  - " + failure, file=sys.stderr)
             return 1
         print("\nperf gate passed (bootstrap: no baseline)")
         return 0
 
-    failures = []
-
-    if current.get("bit_identical") is not True:
-        failures.append(
-            "bit_identical is %r — batch kernels diverged from the "
-            "scalar oracle" % (current.get("bit_identical"),)
-        )
+    failures = identity_failures(current)
 
     gated = sorted(
         key
