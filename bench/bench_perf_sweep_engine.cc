@@ -152,12 +152,12 @@ printFigure()
          << "  \"monte_carlo_8thread_ms\": " << parallel_ms << ",\n"
          << "  \"monte_carlo_speedup\": "
          << serial_ms / parallel_ms << ",\n"
-         << "  \"monte_carlo_deterministic\": "
+         << "  \"monte_carlo_bit_identical\": "
          << (identical ? "true" : "false") << ",\n"
          << "  \"dse_designs\": " << points1.size() << ",\n"
          << "  \"dse_serial_ms\": " << dse_serial_ms << ",\n"
          << "  \"dse_8thread_ms\": " << dse_parallel_ms << ",\n"
-         << "  \"dse_deterministic\": "
+         << "  \"dse_bit_identical\": "
          << (dse_identical ? "true" : "false") << "\n"
          << "}\n";
     std::printf("  artifacts: BENCH_sweep_engine.json\n");

@@ -399,15 +399,18 @@ runInteractive()
                 std::string knob;
                 double from = 0.0;
                 double to = 0.0;
-                int steps = 9;
+                long long steps = 9;
                 in >> knob >> from >> to;
                 if (!(in >> steps))
                     steps = 9;
+                // A negative count fails sweep()'s ">= 2 steps".
+                const std::size_t count =
+                    steps < 0 ? 0 : static_cast<std::size_t>(steps);
                 std::printf("  %-14s %-14s %-12s %-12s\n",
                             knob.c_str(), "v_safe (m/s)",
                             "knee (Hz)", "roof (m/s)");
                 for (const auto &point :
-                     session.sweep(knob, from, to, steps)) {
+                     session.sweep(knob, from, to, count)) {
                     if (point.feasible) {
                         std::printf(
                             "  %-14.4g %-14.3f %-12.2f %-12.3f\n",

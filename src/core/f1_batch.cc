@@ -32,11 +32,6 @@ namespace uavf1::core {
 
 namespace {
 
-/** Samples per internal SoA gather of analyzeFullBlock. */
-constexpr std::size_t kernelBlock = 64;
-static_assert(kernelBlock % simd::nativeWidth == 0,
-              "native width must divide the kernel block");
-
 /** Bound classification for a below-knee sample. */
 inline std::uint8_t
 bottleneckBound(double stage)
@@ -146,60 +141,6 @@ vSafeStrides(double a_max, double q, const double *sensor,
     return ok;
 }
 
-/**
- * Width-W stride body of analyzeFullBlock's math lanes (the gather
- * and scatter stay scalar — they walk AoS records). Stage codes are
- * written as doubles for the scatter loop to interpret.
- */
-template <std::size_t W>
-void
-fullMathStrides(const double *a, const double *d, const double *fs,
-                const double *fc, const double *fl,
-                const double *kf, std::size_t m, double *f_min,
-                double *f_knee, double *v_safe, double *v_roof,
-                double *v_knee, double *v_sens, double *v_comp,
-                double *stage)
-{
-    using P = simd::Pack<double, W>;
-    const P one = P::broadcast(1.0);
-    const P two = P::broadcast(2.0);
-
-    for (std::size_t i = 0; i + W <= m; i += W) {
-        const P pa = P::load(a + i);
-        const P pd = P::load(d + i);
-        const P pfs = P::load(fs + i);
-        const P pfc = P::load(fc + i);
-        const P pfl = P::load(fl + i);
-        const P pkf = P::load(kf + i);
-
-        P f = pfs;
-        P st = P::broadcast(0.0);
-        const auto mc = pfc < f;
-        f = select(mc, pfc, f);
-        st = select(mc, one, st);
-        const auto ml = pfl < f;
-        f = select(ml, pfl, f);
-        st = select(ml, two, st);
-
-        const P q = two * pd / pa;
-        const P knee_x = (one - pkf * pkf) / (two * pkf);
-        const P fk = sqrt(pa / (two * pd)) / knee_x;
-        f.store(f_min + i);
-        fk.store(f_knee + i);
-        st.store(stage + i);
-
-        const P t = one / f;
-        (pa * (sqrt(t * t + q) - t)).store(v_safe + i);
-        sqrt(two * pd * pa).store(v_roof + i);
-        const P tk = one / fk;
-        (pa * (sqrt(tk * tk + q) - tk)).store(v_knee + i);
-        const P ts = one / pfs;
-        (pa * (sqrt(ts * ts + q) - ts)).store(v_sens + i);
-        const P tc = one / pfc;
-        (pa * (sqrt(tc * tc + q) - tc)).store(v_comp + i);
-    }
-}
-
 } // namespace
 
 bool
@@ -264,108 +205,6 @@ analyzeVSafeBlock(double a_max, double range, const double *sensor,
              ok;
     }
     return ok;
-}
-
-void
-analyzeFullBlock(const F1Inputs *inputs, F1Analysis *out,
-                 std::size_t n)
-{
-    for (std::size_t base = 0; base < n; base += kernelBlock) {
-        const std::size_t m =
-            n - base < kernelBlock ? n - base : kernelBlock;
-        const F1Inputs *in = inputs + base;
-
-        // Gather AoS inputs into SoA lanes, validating with the
-        // accumulated-flag idiom.
-        double a[kernelBlock], d[kernelBlock], fs[kernelBlock];
-        double fc[kernelBlock], fl[kernelBlock], kf[kernelBlock];
-        bool ok = true;
-        for (std::size_t i = 0; i < m; ++i) {
-            a[i] = in[i].aMax.value();
-            d[i] = in[i].sensingRange.value();
-            fs[i] = in[i].sensorRate.value();
-            fc[i] = in[i].computeRate.value();
-            fl[i] = in[i].controlRate.value();
-            kf[i] = in[i].kneeFraction;
-            ok = ok && kf[i] >= 1e-6 && kf[i] <= 1.0 - 1e-9 &&
-                 fs[i] > 0.0 && fc[i] > 0.0 && fl[i] > 0.0 &&
-                 a[i] > 0.0 && a[i] <= DBL_MAX && d[i] > 0.0 &&
-                 d[i] <= DBL_MAX;
-        }
-        if (!ok) {
-            // Scalar rescan in sample order: the first offending
-            // sample throws analyzeInto()'s own error, and every
-            // earlier sample is written exactly as the scalar loop
-            // would have written it before throwing.
-            for (std::size_t i = 0; i < m; ++i)
-                F1Model::analyzeInto(in[i], out[base + i]);
-            continue;
-        }
-
-        // Vectorizable math lanes.
-        double f_min[kernelBlock], v_safe[kernelBlock];
-        double f_knee[kernelBlock], v_roof[kernelBlock];
-        double v_knee[kernelBlock], v_sens[kernelBlock];
-        double v_comp[kernelBlock];
-        double stage[kernelBlock];
-        if (simd::useNative()) {
-            constexpr std::size_t W = simd::nativeWidth;
-            const std::size_t main = m - m % W;
-            fullMathStrides<W>(a, d, fs, fc, fl, kf, main, f_min,
-                               f_knee, v_safe, v_roof, v_knee,
-                               v_sens, v_comp, stage);
-            fullMathStrides<1>(a + main, d + main, fs + main,
-                               fc + main, fl + main, kf + main,
-                               m - main, f_min + main,
-                               f_knee + main, v_safe + main,
-                               v_roof + main, v_knee + main,
-                               v_sens + main, v_comp + main,
-                               stage + main);
-        } else {
-            fullMathStrides<1>(a, d, fs, fc, fl, kf, m, f_min,
-                               f_knee, v_safe, v_roof, v_knee,
-                               v_sens, v_comp, stage);
-        }
-
-        // Scatter into the AoS analyses with analyzeInto()'s
-        // classification rules.
-        for (std::size_t i = 0; i < m; ++i) {
-            F1Analysis &o = out[base + i];
-            const double f = f_min[i];
-            const double fk = f_knee[i];
-            o.actionThroughput = units::Hertz(f);
-            o.safeVelocity = units::MetersPerSecond(v_safe[i]);
-            o.kneeThroughput = units::Hertz(fk);
-            o.roofVelocity = units::MetersPerSecond(v_roof[i]);
-            o.kneeVelocity = units::MetersPerSecond(v_knee[i]);
-            o.sensorCeiling = units::MetersPerSecond(v_sens[i]);
-            o.computeCeiling = units::MetersPerSecond(v_comp[i]);
-            o.bottleneckStage =
-                stage[i] == 0.0   ? BottleneckStage::Sensor
-                : stage[i] == 2.0 ? BottleneckStage::Control
-                                  : BottleneckStage::Compute;
-            o.computeBinding = in[i].computeBinding;
-            if (f >= fk) {
-                o.bound = BoundType::PhysicsBound;
-                o.overProvisionFactor = f / fk;
-                o.requiredSpeedup = 1.0;
-            } else {
-                o.requiredSpeedup = fk / f;
-                o.overProvisionFactor = 1.0;
-                o.bound = static_cast<BoundType>(
-                    bottleneckBound(stage[i]));
-            }
-            constexpr double tolerance = 0.05;
-            if (f >= fk * (1.0 - tolerance) &&
-                f <= fk * (1.0 + tolerance)) {
-                o.verdict = DesignVerdict::Optimal;
-            } else if (f > fk) {
-                o.verdict = DesignVerdict::OverOptimized;
-            } else {
-                o.verdict = DesignVerdict::SubOptimal;
-            }
-        }
-    }
 }
 
 } // namespace uavf1::core

@@ -18,6 +18,12 @@
  * fails, callers re-run the scalar analyzeInto() sample-major so the
  * thrown error (and which sample throws first) matches the scalar
  * loop exactly.
+ *
+ * Only the lean outputs a sampler tallies are batched here. A caller
+ * that needs the full F1Analysis record (the design-space sweep, a
+ * fault campaign's outcomes) calls analyzeInto() per point: there
+ * the analysis is tens of ns next to microseconds of config
+ * construction, so a batched copy of it would not pay.
  */
 
 #ifndef UAVF1_CORE_F1_BATCH_HH
@@ -53,26 +59,14 @@ bool analyzeBlock(const double *a_max, const double *range,
                   double *roof, std::uint8_t *bound);
 
 /**
- * Leaner still: only v_safe, with constant physics (the fault
- * campaign perturbs rates, never the airframe). Same contract.
+ * Leaner still: only v_safe, with constant physics and per-sample
+ * rates. Same contract. No library path calls it; the studybench
+ * driver's kernel replay and the kernel tests do.
  */
 bool analyzeVSafeBlock(double a_max, double range,
                        const double *sensor, const double *compute,
                        double control, std::size_t n,
                        double *v_safe);
-
-/**
- * Full-analysis block kernel: analyzeInto() for every sample,
- * SoA-gathered internally, writing complete F1Analysis records —
- * bit-identical to calling analyzeInto(inputs[i], out[i]) in a
- * loop, including which sample's validation error is thrown first.
- * This is the batched back end of F1Model::evaluateBatch() and the
- * design-space sweep.
- *
- * @throws ModelError exactly as the scalar loop would
- */
-void analyzeFullBlock(const F1Inputs *inputs, F1Analysis *out,
-                      std::size_t n);
 
 } // namespace uavf1::core
 

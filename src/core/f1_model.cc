@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/f1_batch.hh"
-
 #include "support/errors.hh"
 #include "support/validate.hh"
 
@@ -147,15 +145,6 @@ F1Model::analyzeInto(const F1Inputs &inputs, F1Analysis &out)
     } else {
         out.verdict = DesignVerdict::SubOptimal;
     }
-}
-
-void
-F1Model::evaluateBatch(std::span<const F1Inputs> inputs,
-                       std::span<F1Analysis> out)
-{
-    if (inputs.size() != out.size())
-        throw ModelError("evaluateBatch spans must match in size");
-    analyzeFullBlock(inputs.data(), out.data(), inputs.size());
 }
 
 RooflineCurve

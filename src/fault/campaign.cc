@@ -935,16 +935,11 @@ FaultCampaign::degradationCurve(
             flat, last - first, samples_per_level, seed, parallel);
         for (std::size_t level = first; level < last; ++level) {
             const std::size_t row = level - first;
-            const CampaignResult result = fromHistogram(
-                counts.data() + row * masks, level_thresholds[row],
-                samples_per_level, seed, parallel);
-            DegradationPoint point;
-            point.scale = scale_at(level);
-            point.meanSafeVelocity = result.safeVelocity.mean;
-            point.p5SafeVelocity = result.safeVelocity.p5;
-            point.p95SafeVelocity = result.safeVelocity.p95;
-            point.abortProbability = result.abortProbability;
-            curve.push_back(point);
+            curve.push_back(
+                {scale_at(level),
+                 fromHistogram(counts.data() + row * masks,
+                               level_thresholds[row],
+                               samples_per_level, seed, parallel)});
         }
     }
     return curve;

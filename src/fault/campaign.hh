@@ -96,16 +96,6 @@ struct CampaignSpec
     double probabilityScale = 1.0;
 };
 
-/** One point of the degradation curve. */
-struct DegradationPoint
-{
-    double scale = 0.0;        ///< probabilityScale at this level.
-    double meanSafeVelocity = 0.0; ///< Over surviving samples, m/s.
-    double p5SafeVelocity = 0.0;   ///< 5th percentile, m/s.
-    double p95SafeVelocity = 0.0;  ///< 95th percentile, m/s.
-    double abortProbability = 0.0; ///< Fraction of aborted missions.
-};
-
 /** Per-stage binding statistics over surviving samples (the same
  * shape the Monte-Carlo analyzer reports). */
 using StageBindingStats = sim::StageBindingStats;
@@ -141,6 +131,16 @@ struct CampaignResult
      */
     std::vector<StageBindingStats> stageBindings;
     std::size_t samples = 0;
+};
+
+/** One point of the degradation curve. */
+struct DegradationPoint
+{
+    /** Severity at this level: the spec's probabilityScale is
+     * multiplied by it. */
+    double scale = 0.0;
+    /** run() of the spec scaled to this level, exactly. */
+    CampaignResult result;
 };
 
 /**
@@ -206,6 +206,8 @@ class FaultCampaign
      * so one sampling pass builds every level's histogram (levels
      * are grouped so a pass holds at most 2^maxFaults counters per
      * thread); each point equals run() of the scaled spec exactly.
+     * The last level (scale 1) is run() of the spec itself, so a
+     * caller that wants both reads it from the curve.
      *
      * @param levels number of curve points (>= 2)
      * @param samples_per_level missions per point (>= 10)

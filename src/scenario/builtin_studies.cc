@@ -794,8 +794,7 @@ runSweepStudy(const StudyContext &ctx)
     const skyline::SkylineSession session =
         sessionFromParams(knob_overrides);
 
-    const auto points =
-        session.sweep(knob, from, to, static_cast<int>(steps));
+    const auto points = session.sweep(knob, from, to, steps);
 
     StudyResult result;
     result.xLabel = knob;
@@ -1175,11 +1174,11 @@ runFaultsStudy(const StudyContext &ctx)
     const fault::FaultCampaign campaign(std::move(campaign_spec));
 
     const core::F1Analysis baseline = campaign.baseline();
-    const fault::CampaignResult worst =
-        campaign.run(samples, seed, ctx.parallel);
     const std::vector<fault::DegradationPoint> curve =
         campaign.degradationCurve(levels, samples, seed,
                                   ctx.parallel);
+    // The curve's last level is the campaign at full severity.
+    const fault::CampaignResult &worst = curve.back().result;
 
     StudyResult result;
     result.xLabel = "fault_scale";
@@ -1196,15 +1195,17 @@ runFaultsStudy(const StudyContext &ctx)
     TextTable table({"Scale", "v_safe mean (m/s)", "p5", "p95",
                      "P(abort)"});
     for (const auto &point : curve) {
-        mean.add(point.scale, point.meanSafeVelocity);
-        p5.add(point.scale, point.p5SafeVelocity);
-        p95.add(point.scale, point.p95SafeVelocity);
-        abort_prob.add(point.scale, point.abortProbability);
+        const sim::Distribution &v = point.result.safeVelocity;
+        const double aborts = point.result.abortProbability;
+        mean.add(point.scale, v.mean);
+        p5.add(point.scale, v.p5);
+        p95.add(point.scale, v.p95);
+        abort_prob.add(point.scale, aborts);
         table.addRow({trimmedNumber(point.scale, 3),
-                      trimmedNumber(point.meanSafeVelocity, 3),
-                      trimmedNumber(point.p5SafeVelocity, 3),
-                      trimmedNumber(point.p95SafeVelocity, 3),
-                      trimmedNumber(point.abortProbability, 4)});
+                      trimmedNumber(v.mean, 3),
+                      trimmedNumber(v.p5, 3),
+                      trimmedNumber(v.p95, 3),
+                      trimmedNumber(aborts, 4)});
     }
     result.series.push_back(std::move(mean));
     result.series.push_back(std::move(p5));

@@ -30,7 +30,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <numeric>
 
 #include "core/f1_batch.hh"
 #include "platform/evaluation_plan.hh"
@@ -83,6 +82,66 @@ struct PercentileRanks
     }
 };
 
+/**
+ * Pin the order statistics of values[lo, hi) — which hold exactly
+ * ranks lo to hi - 1 — at the sorted, distinct positions
+ * [first, last), all in [lo, hi). A position at the range's start
+ * is its minimum, a scan instead of a partition (the lo + 1 half of
+ * a percentile pair). Otherwise the middle position is selected
+ * first, so each later partition runs only over its own side; a
+ * pinned position is never touched again.
+ */
+void
+pinRanks(std::vector<double> &values, std::size_t lo, std::size_t hi,
+         const std::size_t *first, const std::size_t *last)
+{
+    const auto at = [&](std::size_t k) {
+        return values.begin() + static_cast<std::ptrdiff_t>(k);
+    };
+    for (; first != last && *first == lo; ++first, ++lo)
+        std::iter_swap(at(lo), std::min_element(at(lo), at(hi)));
+    if (first == last)
+        return;
+    const std::size_t *mid = first + (last - first - 1) / 2;
+    std::nth_element(at(lo), at(*mid), at(hi));
+    pinRanks(values, lo, *mid, first, mid);
+    pinRanks(values, *mid + 1, hi, mid + 1, last);
+}
+
+/**
+ * The order statistics of `values` at each of `positions` (each <
+ * values.size()), in that order. Reorders `values`.
+ */
+std::vector<double>
+orderStatistics(std::vector<double> &values,
+                const std::vector<std::size_t> &positions)
+{
+    std::vector<std::size_t> sorted = positions;
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()),
+                 sorted.end());
+    pinRanks(values, 0, values.size(), sorted.data(),
+             sorted.data() + sorted.size());
+    std::vector<double> stat;
+    stat.reserve(positions.size());
+    for (const std::size_t k : positions)
+        stat.push_back(values[k]);
+    return stat;
+}
+
+/** p5/p50/p95 of all of `values` into `out`, by selection.
+ * Reorders `values`. */
+void
+selectPercentiles(std::vector<double> &values, Distribution &out)
+{
+    const PercentileRanks percentiles(values.size());
+    const std::vector<double> values_at = orderStatistics(
+        values, {percentiles.ranks.begin(), percentiles.ranks.end()});
+    std::array<double, 6> stat{};
+    std::copy(values_at.begin(), values_at.end(), stat.begin());
+    percentiles.interpolate(stat, out);
+}
+
 } // namespace
 
 Distribution
@@ -104,48 +163,9 @@ Distribution::fromSamples(std::vector<double> samples)
         n > 1 ? std::sqrt(var / static_cast<double>(n - 1)) : 0.0;
 
     // Only six order statistics are needed — the (lo, lo + 1)
-    // pairs bracketing p5/p50/p95.
-    const PercentileRanks percentiles(n);
-    const std::array<std::size_t, 6> &ranks = percentiles.ranks;
-
-    std::array<double, 6> stat{};
-    if (n < 64) {
-        std::sort(samples.begin(), samples.end());
-        for (std::size_t i = 0; i < 6; ++i)
-            stat[i] = samples[ranks[i]];
-    } else {
-        // Select the three lo ranks with nth_element — median over
-        // the whole array first and then one pass per half, so no
-        // partition ever revisits the other half; each lo + 1
-        // statistic is the minimum of the range the partitions
-        // bound it to (the value at sorted position k + 1 is the
-        // smallest element stored right of pinned position k),
-        // a cheap vectorizable scan instead of another partition
-        // pass. Every selected value is an exact order statistic,
-        // identical to the sorted-array one; n >= 64 keeps
-        // l < m < h strict and every min range non-empty.
-        const auto begin = samples.begin();
-        const auto minOver = [&](std::size_t lo, std::size_t hi) {
-            double v = samples[lo];
-            for (std::size_t i = lo + 1; i < hi; ++i)
-                v = samples[i] < v ? samples[i] : v;
-            return v;
-        };
-        const std::size_t l = ranks[0];
-        const std::size_t m = ranks[2];
-        const std::size_t h = ranks[4];
-        std::nth_element(begin, begin + m, samples.end());
-        stat[2] = samples[m];
-        stat[3] = ranks[3] == m ? stat[2] : minOver(m + 1, n);
-        std::nth_element(begin, begin + l, begin + m);
-        stat[0] = samples[l];
-        stat[1] = ranks[1] == l ? stat[0] : minOver(l + 1, m + 1);
-        std::nth_element(begin + m + 1, begin + h, samples.end());
-        stat[4] = samples[h];
-        stat[5] = ranks[5] == h ? stat[4] : minOver(h + 1, n);
-    }
-
-    percentiles.interpolate(stat, out);
+    // pairs bracketing p5/p50/p95 — selected as an unbounded
+    // DistributionFold selects them.
+    selectPercentiles(samples, out);
     return out;
 }
 
@@ -212,42 +232,6 @@ Distribution::fromCounts(
 }
 
 namespace {
-
-/**
- * The order statistics of `values` at each of `positions` (each <
- * values.size()), in that order. Positions are pinned in ascending
- * order, each nth_element running only right of the last pinned
- * one; a position right after it is the minimum of that range (the
- * lo + 1 half of a percentile pair), a scan instead of a partition.
- * Reorders `values`.
- */
-std::vector<double>
-orderStatistics(std::vector<double> &values,
-                const std::vector<std::size_t> &positions)
-{
-    std::vector<std::size_t> order(positions.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  return positions[a] < positions[b];
-              });
-    std::vector<double> stat(positions.size());
-    std::size_t pinned = 0; // values[0, pinned) hold their ranks.
-    for (const std::size_t i : order) {
-        const std::size_t k = positions[i];
-        const auto at = values.begin() + static_cast<std::ptrdiff_t>(k);
-        if (k == pinned) {
-            std::iter_swap(at, std::min_element(at, values.end()));
-        } else if (k > pinned) {
-            std::nth_element(values.begin() +
-                                 static_cast<std::ptrdiff_t>(pinned),
-                             at, values.end());
-        }
-        stat[i] = *at;
-        pinned = std::max(pinned, k + 1);
-    }
-    return stat;
-}
 
 /**
  * Sort values[0, n) against the three windows, W lanes at a time:
@@ -431,15 +415,12 @@ DistributionFold::finish()
             ? std::sqrt(total.m2 / static_cast<double>(_count - 1))
             : 0.0;
 
-    const PercentileRanks percentiles(_count);
-    std::array<double, 6> stat{};
     if (!_all.empty()) {
-        const std::vector<double> values = orderStatistics(
-            _all, {percentiles.ranks.begin(), percentiles.ranks.end()});
-        std::copy(values.begin(), values.end(), stat.begin());
-        percentiles.interpolate(stat, out);
+        selectPercentiles(_all, out);
         return out;
     }
+    const PercentileRanks percentiles(_count);
+    std::array<double, 6> stat{};
     // Rank r lies in window j when below_j <= r < below_j + inside_j.
     std::array<bool, 6> found{};
     for (std::size_t j = 0; j < 3; ++j) {

@@ -472,10 +472,15 @@ SkylineSession::loadConfig(const std::string &text)
 
 std::vector<SweepPoint>
 SkylineSession::sweep(const std::string &knob, double from,
-                      double to, int steps) const
+                      double to, std::size_t steps) const
 {
     if (steps < 2)
         throw ModelError("sweep requires at least 2 steps");
+    if (steps > maxSweepSteps) {
+        throw ModelError("sweep allows at most " +
+                         std::to_string(maxSweepSteps) +
+                         " steps, got " + std::to_string(steps));
+    }
     const std::string key = toLower(trim(knob));
     if (key == "algorithm" || key == "platform" ||
         key == "operating_point" || key == "pipeline") {
@@ -490,8 +495,8 @@ SkylineSession::sweep(const std::string &knob, double from,
                          join(names, ", "));
 
     std::vector<SweepPoint> points;
-    points.reserve(static_cast<std::size_t>(steps));
-    for (int i = 0; i < steps; ++i) {
+    points.reserve(steps);
+    for (std::size_t i = 0; i < steps; ++i) {
         const double value =
             from + (to - from) * static_cast<double>(i) /
                        static_cast<double>(steps - 1);

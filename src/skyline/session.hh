@@ -12,6 +12,7 @@
 #ifndef UAVF1_SKYLINE_SESSION_HH
 #define UAVF1_SKYLINE_SESSION_HH
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -163,12 +164,17 @@ class SkylineSession
      * @param knob knob name (any numeric knob from knobNames())
      * @param from first value (inclusive)
      * @param to last value (inclusive); may be below `from`
-     * @param steps number of samples (>= 2)
-     * @throws ModelError for unknown/non-numeric knobs or steps < 2
+     * @param steps number of samples (>= 2, <= maxSweepSteps)
+     * @throws ModelError for unknown/non-numeric knobs or steps
+     *         outside [2, maxSweepSteps]
      */
     std::vector<SweepPoint> sweep(const std::string &knob,
                                   double from, double to,
-                                  int steps) const;
+                                  std::size_t steps) const;
+
+    /** Most points one sweep() evaluates (each rebuilds the
+     * session); shared by the sweep study and the REPL. */
+    static constexpr std::size_t maxSweepSteps = 1000000;
 
     /** The heat-sink model in use. */
     const thermal::HeatsinkModel &heatsinkModel() const

@@ -81,18 +81,6 @@ StagePipelinePlan::StagePipelinePlan(
     const platform::RooflinePlatform &platform)
     : _evaluator(pipeline, platform)
 {
-    compile();
-}
-
-StagePipelinePlan::StagePipelinePlan(StagePipelineEvaluator evaluator)
-    : _evaluator(std::move(evaluator))
-{
-    compile();
-}
-
-void
-StagePipelinePlan::compile()
-{
     _stageCount = _evaluator.stageCount();
     _onMeasuredPlatform = _evaluator.onMeasuredPlatform();
     _computeCeilingCount =

@@ -5,7 +5,7 @@
  * workload::StagePipelinePlan vs StagePipelineEvaluator, the
  * core::analyze*Block kernels vs F1Model::analyzeInto(), the
  * Monte-Carlo / fault-campaign run() vs runReference() oracles at
- * 1/2/8 threads, the batched design-space sweep vs per-point
+ * 1/2/8 threads, the design-space sweep vs per-point
  * analyze(), the allocation-free guarantee of the kernels, and the
  * exec::parallelForSlots / suggestedGrain contracts they ride on.
  */
@@ -342,8 +342,6 @@ TEST(F1Batch, KernelsMatchAnalyzeIntoBitForBit)
                                    200.0, 0.98, n, v_safe, knee,
                                    roof, bound));
     double v_only[n];
-    core::F1Analysis full[n];
-    core::analyzeFullBlock(inputs, full, n);
 
     core::F1Analysis scalar;
     for (std::size_t i = 0; i < n; ++i) {
@@ -353,12 +351,6 @@ TEST(F1Batch, KernelsMatchAnalyzeIntoBitForBit)
         EXPECT_EQ(roof[i], scalar.roofVelocity.value());
         EXPECT_EQ(bound[i],
                   static_cast<std::uint8_t>(scalar.bound));
-        EXPECT_EQ(full[i].safeVelocity.value(),
-                  scalar.safeVelocity.value());
-        EXPECT_EQ(full[i].bound, scalar.bound);
-        EXPECT_EQ(full[i].kneeVelocity.value(),
-                  scalar.kneeVelocity.value());
-        EXPECT_EQ(full[i].verdict, scalar.verdict);
     }
 
     // Constant-physics variant against the same scalars.
@@ -605,13 +597,13 @@ TEST(CampaignBatch, DegradationCurveRidesTheBatchedRuns)
         const fault::FaultCampaign scaled_campaign(scaled);
         const fault::CampaignResult reference =
             scaled_campaign.runReference(600, 17);
-        EXPECT_EQ(curve[level].meanSafeVelocity,
+        EXPECT_EQ(curve[level].result.safeVelocity.mean,
                   reference.safeVelocity.mean);
-        EXPECT_EQ(curve[level].p5SafeVelocity,
+        EXPECT_EQ(curve[level].result.safeVelocity.p5,
                   reference.safeVelocity.p5);
-        EXPECT_EQ(curve[level].p95SafeVelocity,
+        EXPECT_EQ(curve[level].result.safeVelocity.p95,
                   reference.safeVelocity.p95);
-        EXPECT_EQ(curve[level].abortProbability,
+        EXPECT_EQ(curve[level].result.abortProbability,
                   reference.abortProbability);
     }
 }

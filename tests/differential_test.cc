@@ -177,13 +177,16 @@ expectCurveMatchesScaledReferences(
             const std::string where =
                 label + " [curve " + std::to_string(level) + "/" +
                 std::to_string(levels) + "]";
-            EXPECT_EQ(point.meanSafeVelocity, expected.safeVelocity.mean)
+            EXPECT_EQ(point.result.safeVelocity.mean,
+                      expected.safeVelocity.mean)
                 << where;
-            EXPECT_EQ(point.p5SafeVelocity, expected.safeVelocity.p5)
+            EXPECT_EQ(point.result.safeVelocity.p5, expected.safeVelocity.p5)
                 << where;
-            EXPECT_EQ(point.p95SafeVelocity, expected.safeVelocity.p95)
+            EXPECT_EQ(point.result.safeVelocity.p95,
+                      expected.safeVelocity.p95)
                 << where;
-            EXPECT_EQ(point.abortProbability, expected.abortProbability)
+            EXPECT_EQ(point.result.abortProbability,
+                      expected.abortProbability)
                 << where;
         }
     }

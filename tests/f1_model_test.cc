@@ -222,25 +222,6 @@ TEST(F1Model, AnalyzeHotPathNeverTouchesTheHeap)
     EXPECT_EQ(after, before);
 }
 
-TEST(F1Model, EvaluateBatchMatchesPerItemAnalysis)
-{
-    std::vector<F1Inputs> inputs;
-    for (const double hz : {1.1, 20.0, 43.0, 55.0, 178.0})
-        inputs.push_back(baseInputs(hz));
-    std::vector<F1Analysis> batch(inputs.size());
-    F1Model::evaluateBatch(inputs, batch);
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const F1Analysis reference = F1Model(inputs[i]).analyze();
-        EXPECT_EQ(batch[i].safeVelocity.value(),
-                  reference.safeVelocity.value());
-        EXPECT_EQ(batch[i].bound, reference.bound);
-    }
-
-    std::vector<F1Analysis> wrong_size(inputs.size() + 1);
-    EXPECT_THROW(F1Model::evaluateBatch(inputs, wrong_size),
-                 ModelError);
-}
-
 TEST(F1Model, EnumNames)
 {
     EXPECT_STREQ(toString(BoundType::ComputeBound), "compute-bound");

@@ -406,10 +406,10 @@ TEST(FaultCampaign, DegradationCurveStartsAtTheBaseline)
     // Scale 0 disables every fault: the first point is the
     // baseline, exactly.
     EXPECT_EQ(curve.front().scale, 0.0);
-    EXPECT_EQ(curve.front().abortProbability, 0.0);
-    EXPECT_EQ(curve.front().p5SafeVelocity, baseline);
-    EXPECT_EQ(curve.front().p95SafeVelocity, baseline);
-    EXPECT_NEAR(curve.front().meanSafeVelocity, baseline, 1e-11);
+    EXPECT_EQ(curve.front().result.abortProbability, 0.0);
+    EXPECT_EQ(curve.front().result.safeVelocity.p5, baseline);
+    EXPECT_EQ(curve.front().result.safeVelocity.p95, baseline);
+    EXPECT_NEAR(curve.front().result.safeVelocity.mean, baseline, 1e-11);
     // The same seed at every level makes severity the only mover:
     // each sample's active-fault set only grows with scale, so the
     // degraded mean falls monotonically.
@@ -417,10 +417,10 @@ TEST(FaultCampaign, DegradationCurveStartsAtTheBaseline)
         EXPECT_EQ(curve[i].scale,
                   static_cast<double>(i) /
                       static_cast<double>(curve.size() - 1));
-        EXPECT_LE(curve[i].meanSafeVelocity,
-                  curve[i - 1].meanSafeVelocity + 1e-12);
+        EXPECT_LE(curve[i].result.safeVelocity.mean,
+                  curve[i - 1].result.safeVelocity.mean + 1e-12);
     }
-    EXPECT_LT(curve.back().meanSafeVelocity, baseline);
+    EXPECT_LT(curve.back().result.safeVelocity.mean, baseline);
 }
 
 TEST(FaultCampaign, RedundancyAbsorbsAStageFailure)
@@ -553,7 +553,7 @@ TEST(FaultCampaign, AtMostSixteenFaultsInTotal)
     EXPECT_LT(result.safeVelocity.p5,
               sixteen.baseline().safeVelocity.value());
     const auto curve = sixteen.degradationCurve(3, 3000, 5);
-    EXPECT_EQ(curve.back().p5SafeVelocity, result.safeVelocity.p5);
+    EXPECT_EQ(curve.back().result.safeVelocity.p5, result.safeVelocity.p5);
 
     spec.faults.push_back(spec.faults.front());
     try {
@@ -943,9 +943,9 @@ TEST(StageScopedFaults, DegradationCurveAtScaleZeroAndOne)
     const auto flat = at_zero.degradationCurve(3, 500, 11);
     ASSERT_EQ(flat.size(), 3u);
     for (const auto &point : flat) {
-        EXPECT_EQ(point.abortProbability, 0.0);
-        EXPECT_EQ(point.p5SafeVelocity, baseline);
-        EXPECT_EQ(point.p95SafeVelocity, baseline);
+        EXPECT_EQ(point.result.abortProbability, 0.0);
+        EXPECT_EQ(point.result.safeVelocity.p5, baseline);
+        EXPECT_EQ(point.result.safeVelocity.p95, baseline);
     }
 
     // probabilityScale exactly 1: every curve level reproduces run()
@@ -956,25 +956,25 @@ TEST(StageScopedFaults, DegradationCurveAtScaleZeroAndOne)
     const FaultCampaign at_one(full);
     const auto curve = at_one.degradationCurve(3, 500, 11);
     ASSERT_EQ(curve.size(), 3u);
-    EXPECT_EQ(curve.front().p95SafeVelocity, baseline);
+    EXPECT_EQ(curve.front().result.safeVelocity.p95, baseline);
     EXPECT_EQ(curve.back().scale, 1.0);
     for (const DegradationPoint &point : curve) {
         CampaignSpec scaled = full;
         scaled.probabilityScale = full.probabilityScale * point.scale;
         const CampaignResult level =
             FaultCampaign(scaled).run(500, 11);
-        EXPECT_EQ(point.meanSafeVelocity, level.safeVelocity.mean)
+        EXPECT_EQ(point.result.safeVelocity.mean, level.safeVelocity.mean)
             << point.scale;
-        EXPECT_EQ(point.p5SafeVelocity, level.safeVelocity.p5)
+        EXPECT_EQ(point.result.safeVelocity.p5, level.safeVelocity.p5)
             << point.scale;
-        EXPECT_EQ(point.p95SafeVelocity, level.safeVelocity.p95)
+        EXPECT_EQ(point.result.safeVelocity.p95, level.safeVelocity.p95)
             << point.scale;
-        EXPECT_EQ(point.abortProbability, level.abortProbability)
+        EXPECT_EQ(point.result.abortProbability, level.abortProbability)
             << point.scale;
     }
     const CampaignResult top = at_one.run(500, 11);
-    EXPECT_EQ(curve.back().meanSafeVelocity, top.safeVelocity.mean);
-    EXPECT_EQ(curve.back().abortProbability, top.abortProbability);
+    EXPECT_EQ(curve.back().result.safeVelocity.mean, top.safeVelocity.mean);
+    EXPECT_EQ(curve.back().result.abortProbability, top.abortProbability);
 }
 
 TEST(StageScopedFaults, StandardSuitesRunBitIdenticalAcrossThreads)

@@ -230,6 +230,25 @@ TEST(Runner, SweepStudyMarksInfeasiblePointsInsteadOfAborting)
     EXPECT_GE(infeasible, 1.0);
 }
 
+TEST(Runner, SweepStudyRejectsStepsAboveTheCap)
+{
+    // Both counts pass getCount but exceed INT_MAX: narrowed to int
+    // they would wrap to 2 and to a negative count. The cap must be
+    // checked, and named, before any narrowing or sweeping.
+    for (const char *steps : {"4294967298", "3000000000"}) {
+        ScenarioSpec spec;
+        spec.study = "sweep";
+        spec.overrides.set("steps", steps);
+        const ScenarioOutcome outcome = ScenarioRunner().run(spec);
+        EXPECT_FALSE(outcome.ok) << steps;
+        EXPECT_NE(outcome.error.find("at most 1000000 steps"),
+                  std::string::npos)
+            << steps << ": " << outcome.error;
+        EXPECT_NE(outcome.error.find(steps), std::string::npos)
+            << outcome.error;
+    }
+}
+
 TEST(Runner, RooflineStudyRendersTheCeilingFamily)
 {
     namespace fs = std::filesystem;

@@ -416,6 +416,38 @@ TEST(MonteCarloCeilings, ValidatesThePlatformPathUpFront)
     EXPECT_THROW(MonteCarloAnalyzer{spec}, ModelError);
 }
 
+/** The oracle summary: sort a copy and index p5/p50/p95's rank
+ * pairs, interpolating as Distribution does; two-pass mean and
+ * sample stddev. */
+Distribution
+sortedSummary(std::vector<double> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    const std::size_t n = samples.size();
+    Distribution out;
+    double sum = 0.0;
+    for (const double v : samples)
+        sum += v;
+    out.mean = sum / static_cast<double>(n);
+    double var = 0.0;
+    for (const double v : samples)
+        var += (v - out.mean) * (v - out.mean);
+    out.stddev =
+        n > 1 ? std::sqrt(var / static_cast<double>(n - 1)) : 0.0;
+    const auto at = [&](double percent) {
+        const double rank =
+            percent / 100.0 * static_cast<double>(n - 1);
+        const std::size_t lo = static_cast<std::size_t>(rank);
+        const double a = samples[lo];
+        const double b = samples[std::min(lo + 1, n - 1)];
+        return a + (rank - static_cast<double>(lo)) * (b - a);
+    };
+    out.p5 = at(5.0);
+    out.p50 = at(50.0);
+    out.p95 = at(95.0);
+    return out;
+}
+
 /** `samples` as (value, count) pairs: grouped, with one value's
  * count split across two pairs and a zero-count pair mixed in, in
  * an order scrambled by `rng` — fromCounts must merge all of it. */
@@ -443,9 +475,9 @@ histogramOf(const std::vector<double> &samples, Rng &rng)
 TEST(Distribution, FromCountsMatchesFromSamplesOnRandomMultisets)
 {
     Rng rng(20260417);
-    // n < 64 takes fromSamples' sort path, n >= 64 its selection
-    // path; 21, 41, 101 and 201 put the 5%/95% ranks on exact
-    // integers (no interpolation), the rest between two ranks.
+    // Tiny sizes let a lo + 1 rank pass the next percentile's lo;
+    // 21, 41, 101 and 201 put the 5%/95% ranks on exact integers
+    // (no interpolation), the rest between two ranks.
     const std::vector<std::size_t> sizes = {
         1, 2, 3, 7, 20, 21, 41, 63, 64, 65, 100, 101, 201, 1000,
         4097};
@@ -476,6 +508,11 @@ TEST(Distribution, FromCountsMatchesFromSamplesOnRandomMultisets)
                 const std::string label =
                     "n=" + std::to_string(n) + " shape " +
                     std::to_string(shape);
+                // fromSamples' selection against a full sort.
+                const Distribution sorted = sortedSummary(samples);
+                EXPECT_EQ(expected.p5, sorted.p5) << label;
+                EXPECT_EQ(expected.p50, sorted.p50) << label;
+                EXPECT_EQ(expected.p95, sorted.p95) << label;
                 EXPECT_EQ(got.p5, expected.p5) << label;
                 EXPECT_EQ(got.p50, expected.p50) << label;
                 EXPECT_EQ(got.p95, expected.p95) << label;
@@ -551,7 +588,7 @@ expectMatches(const Distribution &got, const Distribution &expected,
     EXPECT_EQ(got.p5, expected.p5) << label;
     EXPECT_EQ(got.p50, expected.p50) << label;
     EXPECT_EQ(got.p95, expected.p95) << label;
-    // Block partials merge in another order than fromSamples' sums
+    // Block partials merge in another order than the oracle's sums
     // (relative to the data's magnitude: a constant multiset's
     // stddev is rounding noise around 0).
     const double scale =
@@ -585,8 +622,7 @@ TEST(DistributionFold, MatchesFromSamplesOnRandomMultisets)
                 else
                     v = pool[0];
             }
-            const Distribution expected =
-                Distribution::fromSamples(samples);
+            const Distribution expected = sortedSummary(samples);
             const std::string label = "n=" + std::to_string(n) +
                                       " shape " + std::to_string(shape);
 
@@ -645,7 +681,7 @@ TEST(DistributionFold, TiesOnAWindowEdgeAreCountedOnce)
     std::vector<double> samples;
     for (int i = 0; i < 3000; ++i)
         samples.push_back(i % 5 < 2 ? 7.0 : 1.0 + 0.004 * i);
-    const Distribution expected = Distribution::fromSamples(samples);
+    const Distribution expected = sortedSummary(samples);
     EXPECT_EQ(expected.p50, 7.0);
     for (const auto &window :
          {std::pair{7.0, 7.0}, std::pair{7.0, 8.0}, std::pair{6.0, 7.0}}) {
@@ -683,7 +719,7 @@ TEST(DistributionFold, PilotWindowsKeepAFewPercentAndStayExact)
     EXPECT_LT(kept, samples.size() / 10);
     const auto got = foldOf(samples, windows);
     ASSERT_TRUE(got);
-    expectMatches(*got, Distribution::fromSamples(samples), "pilot");
+    expectMatches(*got, sortedSummary(samples), "pilot");
 
     // Only an unbounded fold can act as a pilot.
     DistributionFold bounded(pilot_size, 1, windows);

@@ -263,55 +263,6 @@ TEST(SimdKernels, AnalyzeVSafeBlockScalarAndNativeBitIdentical)
     }
 }
 
-TEST(SimdKernels, AnalyzeFullBlockScalarAndNativeBitIdentical)
-{
-    ModeGuard guard;
-    constexpr std::size_t maxN = 130;
-    Rng rng(17);
-    std::vector<core::F1Inputs> inputs(maxN);
-    for (auto &in : inputs) {
-        in.aMax = units::MetersPerSecondSquared(
-            rng.uniform(1.0, 30.0));
-        in.sensingRange = units::Meters(rng.uniform(5.0, 200.0));
-        in.sensorRate = units::Hertz(rng.uniform(1.0, 120.0));
-        in.computeRate = units::Hertz(rng.uniform(1.0, 120.0));
-        in.controlRate = units::Hertz(1000.0);
-        in.kneeFraction = rng.uniform(0.2, 0.8);
-    }
-    for (std::size_t n : tailCounts(maxN)) {
-        std::vector<core::F1Analysis> s_out(n), n_out(n);
-        simd::setMode(simd::Mode::Scalar);
-        core::analyzeFullBlock(inputs.data(), s_out.data(), n);
-        simd::setMode(simd::Mode::Native);
-        core::analyzeFullBlock(inputs.data(), n_out.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const core::F1Analysis &s = s_out[i];
-            const core::F1Analysis &v = n_out[i];
-            EXPECT_TRUE(bitEq(s.actionThroughput.value(),
-                              v.actionThroughput.value()));
-            EXPECT_TRUE(bitEq(s.safeVelocity.value(),
-                              v.safeVelocity.value()));
-            EXPECT_TRUE(bitEq(s.kneeThroughput.value(),
-                              v.kneeThroughput.value()));
-            EXPECT_TRUE(bitEq(s.roofVelocity.value(),
-                              v.roofVelocity.value()));
-            EXPECT_TRUE(bitEq(s.kneeVelocity.value(),
-                              v.kneeVelocity.value()));
-            EXPECT_TRUE(bitEq(s.sensorCeiling.value(),
-                              v.sensorCeiling.value()));
-            EXPECT_TRUE(bitEq(s.computeCeiling.value(),
-                              v.computeCeiling.value()));
-            EXPECT_TRUE(bitEq(s.overProvisionFactor,
-                              v.overProvisionFactor));
-            EXPECT_TRUE(
-                bitEq(s.requiredSpeedup, v.requiredSpeedup));
-            EXPECT_EQ(s.bound, v.bound);
-            EXPECT_EQ(s.bottleneckStage, v.bottleneckStage);
-            EXPECT_EQ(s.verdict, v.verdict);
-        }
-    }
-}
-
 TEST(SimdKernels, EvaluationPlanScalarAndNativeBitIdentical)
 {
     ModeGuard guard;
