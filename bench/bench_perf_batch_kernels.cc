@@ -9,6 +9,10 @@
  * thread in ns/sample on the two hottest paths — the per-stage
  * Monte-Carlo pipeline and the combined fault campaign — and
  * writes BENCH_batch_kernels.json into the artifacts directory.
+ * The mixed-suite degradation curve is timed too (ns per sampled
+ * mission over all 9 levels) and checked point by point against
+ * the scaled reference; its timing has no baseline, so it is
+ * reported but not gated.
  * CI compares that artifact against the committed baseline in
  * bench/baselines/ via tools/check_perf.py and fails on >25%
  * ns/eval regression or any batch-vs-reference mismatch.
@@ -20,6 +24,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "bench_common.hh"
 #include "components/catalog.hh"
@@ -117,6 +122,21 @@ mixedCampaignSpec()
     for (const fault::FaultSpec &fault :
          fault::findFaultSuite("mixed").faults)
         spec.faults.push_back(fault);
+    return spec;
+}
+
+/**
+ * The faults study's default campaign: the TX2 ceiling family under
+ * the mixed suite (three faults, no pipeline). Its degradation curve
+ * is what the study spends its time on.
+ */
+fault::CampaignSpec
+curveCampaignSpec()
+{
+    fault::CampaignSpec spec = campaignSpec();
+    spec.pipeline.reset();
+    spec.redundancy = pipeline::RedundancyScheme::None;
+    spec.faults = fault::findFaultSuite("mixed").faults;
     return spec;
 }
 
@@ -291,6 +311,43 @@ printFigure()
                 mixed_batch_ns, mixed_ref_ns,
                 mixed_ref_ns / mixed_batch_ns);
 
+    // --- Degradation curve ---------------------------------------
+    // The mixed suite at the faults study's 9 levels: one sampling
+    // pass counts each sample's firing-level signature for all of
+    // them. Every point must equal runReference() of the spec scaled
+    // to its level. Timed in ns per sampled mission (all 9 levels);
+    // reported, not gated.
+    const fault::FaultCampaign curve_campaign(curveCampaignSpec());
+    constexpr std::size_t curve_levels = 9;
+    bool curve_identical = true;
+    for (const fault::DegradationPoint &point :
+         curve_campaign.degradationCurve(curve_levels, 20011, 3,
+                                         serial)) {
+        fault::CampaignSpec scaled = curve_campaign.spec();
+        scaled.probabilityScale *= point.scale;
+        curve_identical =
+            curve_identical &&
+            identical(point.result,
+                      fault::FaultCampaign(std::move(scaled))
+                          .runReference(20011, 3, serial));
+    }
+    std::printf("  Curve points vs scaled runReference() "
+                "bit-identical: %s\n",
+                curve_identical ? "yes" : "NO (BUG)");
+
+    (void)curve_campaign.degradationCurve(curve_levels, missions / 10,
+                                          1, serial); // Warm-up.
+    start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(
+        curve_campaign.degradationCurve(curve_levels, missions, 1,
+                                        serial)
+            .back()
+            .result.safeVelocity.mean);
+    const double curve_batch_ns = millisSince(start) * 1e6 / missions;
+    std::printf("  Degradation curve, mixed suite, %zu levels, "
+                "1 thread: %.1f ns/sample\n",
+                curve_levels, curve_batch_ns);
+
     // --- Stage-scoped fault campaign -----------------------------
     // Platform faults scoped to single pipeline stages: each
     // occupied outcome reads the precomputed per-(mask, stage)
@@ -349,6 +406,11 @@ printFigure()
          << stage_ref_ns << ",\n"
          << "  \"stage_campaign_speedup\": "
          << stage_ref_ns / stage_batch_ns << ",\n"
+         << "  \"curve_levels\": " << curve_levels << ",\n"
+         << "  \"curve_batch_ns_per_eval\": " << curve_batch_ns
+         << ",\n"
+         << "  \"curve_bit_identical\": "
+         << (curve_identical ? "true" : "false") << ",\n"
          << "  \"bit_identical\": "
          << (bit_identical ? "true" : "false") << "\n"
          << "}\n";

@@ -286,6 +286,31 @@ runScenarios(const DriverOptions &options, bool run_all)
     return failed == 0 ? 0 : 1;
 }
 
+/**
+ * The REPL sweep's step count. The whole token must be an integer:
+ * reading it with >> would take "3.9" as 3 and "1e7" as 1. A
+ * negative count maps to 0, which sweep() rejects as fewer than 2
+ * steps; one past the integer range is past sweep()'s cap too.
+ */
+std::size_t
+parseSweepSteps(const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long long parsed = std::strtoll(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0') {
+        throw ModelError("sweep steps must be an integer, got '" +
+                         text + "'");
+    }
+    if (errno == ERANGE && parsed > 0) {
+        throw ModelError(
+            "sweep allows at most " +
+            std::to_string(skyline::SkylineSession::maxSweepSteps) +
+            " steps, got " + text);
+    }
+    return parsed < 0 ? 0 : static_cast<std::size_t>(parsed);
+}
+
 void
 printReplHelp()
 {
@@ -399,13 +424,10 @@ runInteractive()
                 std::string knob;
                 double from = 0.0;
                 double to = 0.0;
-                long long steps = 9;
-                in >> knob >> from >> to;
-                if (!(in >> steps))
-                    steps = 9;
-                // A negative count fails sweep()'s ">= 2 steps".
+                std::string steps;
+                in >> knob >> from >> to >> steps;
                 const std::size_t count =
-                    steps < 0 ? 0 : static_cast<std::size_t>(steps);
+                    steps.empty() ? 9 : parseSweepSteps(steps);
                 std::printf("  %-14s %-14s %-12s %-12s\n",
                             knob.c_str(), "v_safe (m/s)",
                             "knee (Hz)", "roof (m/s)");

@@ -12,14 +12,20 @@
  * runReference() keeps the mission-at-a-time loop as the oracle; if
  * an occupied outcome fails F1 validation, run() reruns it so the
  * thrown error is the scalar path's first one.
+ *
+ * The degradation curve counts one firing-level signature per sample
+ * for many levels at once (see SignaturePass) and expands the
+ * occupied signatures into each level's mask histogram; run() is its
+ * one-level case, where the signature is the mask.
  */
 
 #include "fault/campaign.hh"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "support/errors.hh"
 #include "support/validate.hh"
@@ -61,59 +67,209 @@ isPipelineFault(FaultKind kind)
            kind == FaultKind::StageFailure;
 }
 
-/** Samples whose uniforms countMasks draws at a time. */
+/** Samples whose uniforms a pass draws at a time. */
 constexpr std::size_t drawSamples = 128;
 
-/**
- * Count the activation masks of `n` samples drawn from `rng`: one
- * uniform per fault per sample, in fault order (exactly the scalar
- * stream), compared against each of `levels` threshold rows; sample
- * i bumps hist[level * 2^faults + mask]. `reach` holds each fault's
- * largest threshold over the rows, so a sample none of whose faults
- * fires at that threshold has mask 0 at every level and is counted
- * once. Scalars come by value so the counter stores cannot alias
- * them.
- */
-void
-countMasks(Rng rng, std::size_t n, std::size_t faults,
-           const double *thresholds, const double *reach,
-           std::size_t levels, double *draw, std::uint64_t *hist)
+/** Cells of a signature grid over [0, 1). A power of two, so
+ * u * gridCells is exact and its floor is u's cell. */
+constexpr std::size_t gridCells = 1024;
+
+/** Grid value of a cell that a threshold splits: its samples fall
+ * back to exact comparisons. */
+constexpr std::uint16_t splitCell = 0xFFFF;
+
+/** Most signatures one pass counts per slot. */
+constexpr std::size_t maxSignatures = std::size_t{1}
+                                      << FaultCampaign::maxFaults;
+
+// With one fault a grid cell holds a level count; it must never
+// read as a split cell. (At two or more faults the pass size keeps
+// every term below 2^16 - 1.)
+static_assert(FaultCampaign::maxCurveLevels < splitCell);
+
+/** (base)^exponent, or maxSignatures + 1 once it exceeds that. */
+std::size_t
+cappedPower(std::size_t base, std::size_t exponent)
 {
-    const std::size_t masks = std::size_t{1} << faults;
-    std::uint64_t quiet = 0;
-    for (std::size_t sub = 0; sub < n; sub += drawSamples) {
-        const std::size_t m = std::min(n - sub, drawSamples);
-        rng.uniformBlock(draw, m * faults);
-        for (std::size_t i = 0; i < m; ++i) {
-            const double *u = draw + i * faults;
-            std::size_t fired = 0;
-            for (std::size_t j = 0; j < faults; ++j)
-                fired |= static_cast<std::size_t>(u[j] < reach[j]) << j;
-            if (levels == 1) {
-                ++hist[fired]; // One row: reach is its thresholds.
-                continue;
-            }
-            if (fired == 0) {
-                ++quiet;
-                continue;
-            }
-            for (std::size_t level = 0; level < levels; ++level) {
-                const double *t = thresholds + level * faults;
-                std::size_t mask = 0;
-                for (std::size_t f = fired; f != 0; f &= f - 1) {
-                    const auto j =
-                        static_cast<std::size_t>(std::countr_zero(f));
-                    mask |= static_cast<std::size_t>(u[j] < t[j]) << j;
-                }
-                ++hist[level * masks + mask];
+    std::size_t power = 1;
+    for (std::size_t j = 0; j < exponent && power <= maxSignatures; ++j)
+        power *= base;
+    return std::min(power, maxSignatures + 1);
+}
+
+/**
+ * One sampling pass over `rows` severity levels. Every row sees the
+ * same uniforms, and fault j's thresholds are nondecreasing in the
+ * row (min(1, p_j * scale) with a nondecreasing scale), so a uniform
+ * u fires fault j at exactly the top c_j = #{r : u < t_j[r]} rows.
+ * The digits c_j in base rows + 1 form the sample's signature,
+ * sum_j c_j * (rows + 1)^j, which fixes its activation mask at every
+ * row: counting signatures takes one counter bump per sample at any
+ * row count. With one row the signature is the mask itself.
+ */
+class SignaturePass
+{
+  public:
+    /** `thresholds` is level-major: row r holds one threshold per
+     * fault, in fault order. */
+    SignaturePass(const std::vector<double> &thresholds,
+                  std::size_t faults, std::size_t rows)
+        : _faults(faults), _rows(rows), _columns(faults * rows),
+          _weight(faults)
+    {
+        for (std::size_t j = 0; j < faults; ++j) {
+            _weight[j] = static_cast<std::uint32_t>(_signatures);
+            _signatures *= rows + 1;
+            for (std::size_t r = 0; r < rows; ++r)
+                _columns[j * rows + r] = thresholds[r * faults + j];
+        }
+        if (rows == 1)
+            return; // Compared directly; see countRows().
+        // Cell k holds [k, k + 1) / gridCells. A threshold at or
+        // below its low edge never fires there and one at or above
+        // its high edge always does, so only a threshold strictly
+        // inside splits the cell.
+        _grid.resize(faults * gridCells);
+        for (std::size_t j = 0; j < faults; ++j) {
+            const double *t = &_columns[j * rows];
+            for (std::size_t k = 0; k < gridCells; ++k) {
+                const double lo =
+                    static_cast<double>(k) / static_cast<double>(gridCells);
+                const double hi = static_cast<double>(k + 1) /
+                                  static_cast<double>(gridCells);
+                const bool split = std::upper_bound(t, t + rows, lo) !=
+                                   std::lower_bound(t, t + rows, hi);
+                _grid[j * gridCells + k] =
+                    split ? splitCell
+                          : static_cast<std::uint16_t>(digit(j, lo));
             }
         }
     }
-    if (levels > 1) {
-        for (std::size_t level = 0; level < levels; ++level)
-            hist[level * masks] += quiet;
+
+    /** Counters a pass histogram holds: (rows + 1)^faults. */
+    std::size_t signatures() const { return _signatures; }
+
+    /** Fault j's term of the signature at uniform u, by exact
+     * comparisons: c_j * (rows + 1)^j. */
+    std::uint32_t digit(std::size_t j, double u) const
+    {
+        const double *t = &_columns[j * _rows];
+        const auto silent = std::upper_bound(t, t + _rows, u) - t;
+        return static_cast<std::uint32_t>(
+                   _rows - static_cast<std::size_t>(silent)) *
+               _weight[j];
     }
-}
+
+    /**
+     * Count the signatures of `n` samples drawn from `rng`: one
+     * uniform per fault per sample, in fault order (exactly the
+     * scalar stream); sample i bumps hist[signature].
+     */
+    void count(Rng rng, std::size_t n, double *draw,
+               std::uint64_t *hist) const
+    {
+        if (_rows == 1)
+            countRows<true>(rng, n, draw, hist);
+        else
+            countRows<false>(rng, n, draw, hist);
+    }
+
+    /**
+     * Expand a signature histogram into each row's 2^faults mask
+     * histogram, row after row. Fault j fires from row rows - c_j
+     * on, so walking one signature's faults in that order, each
+     * turn-on moves the signature's count from the mask before it to
+     * the mask after it, at that row. The moves form a difference
+     * table that a running sum down the rows turns into the
+     * histograms: O(occupied * faults + rows * 2^faults). Unsigned
+     * wraparound is exact, and every running sum is a true count.
+     */
+    std::vector<std::uint64_t> masks(const std::uint64_t *hist) const
+    {
+        const std::size_t mask_count = std::size_t{1} << _faults;
+        std::vector<std::uint64_t> out(_rows * mask_count, 0);
+        std::array<std::pair<std::size_t, std::size_t>,
+                   FaultCampaign::maxFaults>
+            turn_on; // (row, fault), in firing order.
+        for (std::size_t s = 0; s < _signatures; ++s) {
+            const std::uint64_t n = hist[s];
+            if (n == 0)
+                continue;
+            std::size_t events = 0;
+            std::size_t rest = s;
+            for (std::size_t j = 0; j < _faults; ++j) {
+                const std::size_t c = rest % (_rows + 1);
+                rest /= _rows + 1;
+                if (c > 0)
+                    turn_on[events++] = {_rows - c, j};
+            }
+            std::sort(turn_on.begin(), turn_on.begin() + events);
+            std::size_t mask = 0;
+            out[0] += n;
+            for (std::size_t e = 0; e < events; ++e) {
+                std::uint64_t *row = &out[turn_on[e].first * mask_count];
+                row[mask] -= n;
+                mask |= std::size_t{1} << turn_on[e].second;
+                row[mask] += n;
+            }
+        }
+        for (std::size_t c = mask_count; c < out.size(); ++c)
+            out[c] += out[c - mask_count];
+        return out;
+    }
+
+  private:
+    template <bool OneRow>
+    void countRows(Rng &rng, std::size_t n, double *draw,
+                   std::uint64_t *hist) const
+    {
+        // Locals, so the counter stores cannot alias them.
+        const std::size_t faults = _faults;
+        const double *thresholds = _columns.data();
+        const std::uint16_t *grid = _grid.data();
+        for (std::size_t sub = 0; sub < n; sub += drawSamples) {
+            const std::size_t m = std::min(n - sub, drawSamples);
+            rng.uniformBlock(draw, m * faults);
+            for (std::size_t i = 0; i < m; ++i) {
+                const double *u = draw + i * faults;
+                std::size_t signature = 0;
+                if constexpr (OneRow) {
+                    for (std::size_t j = 0; j < faults; ++j)
+                        signature |=
+                            static_cast<std::size_t>(u[j] < thresholds[j])
+                            << j;
+                } else {
+                    bool split = false;
+                    for (std::size_t j = 0; j < faults; ++j) {
+                        const std::uint16_t cell =
+                            grid[j * gridCells +
+                                 static_cast<std::size_t>(
+                                     u[j] * static_cast<double>(gridCells))];
+                        split |= cell == splitCell;
+                        signature += cell;
+                    }
+                    if (split) [[unlikely]] {
+                        signature = 0;
+                        for (std::size_t j = 0; j < faults; ++j)
+                            signature += digit(j, u[j]);
+                    }
+                }
+                ++hist[signature];
+            }
+        }
+    }
+
+    std::size_t _faults;
+    std::size_t _rows;
+    std::size_t _signatures = 1;
+    /** Fault-major thresholds: column j is fault j's rows. */
+    std::vector<double> _columns;
+    /** (rows + 1)^j: the weight of fault j's digit. */
+    std::vector<std::uint32_t> _weight;
+    /** Fault-major grids of gridCells cells, each holding the digit
+     * term of every uniform in it, or splitCell. Empty for one row. */
+    std::vector<std::uint16_t> _grid;
+};
 
 } // namespace
 
@@ -775,14 +931,8 @@ FaultCampaign::sampleOutcomes(const std::vector<double> &thresholds,
                               const exec::ParallelOptions &parallel) const
 {
     const std::size_t fault_count = _spec.faults.size();
-    const std::size_t masks = std::size_t{1} << fault_count;
-    const std::size_t cells = levels * masks;
-
-    std::vector<double> reach(fault_count, 0.0);
-    for (std::size_t level = 0; level < levels; ++level)
-        for (std::size_t j = 0; j < fault_count; ++j)
-            reach[j] = std::max(reach[j],
-                                thresholds[level * fault_count + j]);
+    const SignaturePass pass(thresholds, fault_count, levels);
+    const std::size_t cells = pass.signatures();
 
     // Per-slot histograms: integers, so summing the slots after the
     // loop is exact and independent of the thread count. Regions are
@@ -799,17 +949,14 @@ FaultCampaign::sampleOutcomes(const std::vector<double> &thresholds,
         count, seed, parallel,
         [&](std::size_t slot, Rng &rng, std::size_t lo,
             std::size_t hi) {
-            countMasks(rng, hi - lo, fault_count, thresholds.data(),
-                       reach.data(), levels,
-                       draws.data() + slot * draw_stride,
+            pass.count(rng, hi - lo, draws.data() + slot * draw_stride,
                        counts.data() + slot * count_stride);
         });
 
     for (std::size_t slot = 1; slot < slots; ++slot)
         for (std::size_t c = 0; c < cells; ++c)
             counts[c] += counts[slot * count_stride + c];
-    counts.resize(cells);
-    return counts;
+    return pass.masks(counts.data());
 }
 
 CampaignResult
@@ -903,17 +1050,26 @@ FaultCampaign::degradationCurve(
 {
     if (levels < 2)
         throw ModelError("degradation curve needs >= 2 levels");
+    if (levels > maxCurveLevels) {
+        throw ModelError("degradation curve allows at most " +
+                         std::to_string(maxCurveLevels) +
+                         " levels, got " + std::to_string(levels));
+    }
     if (samples_per_level < 10)
         throw ModelError("fault campaign needs >= 10 samples");
 
     // The same seed at every level, and one draw per fault whether
     // or not it fires, so every level sees the same uniforms and
-    // severity is the only mover: one pass compares each uniform
-    // against every level's threshold. A pass holds at most
-    // 2^maxFaults counters per slot.
-    const std::size_t masks = std::size_t{1} << _spec.faults.size();
-    const std::size_t group = std::max<std::size_t>(
-        1, (std::size_t{1} << maxFaults) / masks);
+    // severity is the only mover: one pass counts each sample's
+    // signature once for all its levels. A pass takes the most
+    // levels whose (levels + 1)^faults signatures fit in
+    // 2^maxFaults counters per slot: 39 at 3 faults, 1 at 16.
+    const std::size_t fault_count = _spec.faults.size();
+    const std::size_t masks = std::size_t{1} << fault_count;
+    std::size_t group = 1;
+    while (group < levels &&
+           cappedPower(group + 2, fault_count) <= maxSignatures)
+        ++group;
 
     const auto scale_at = [&](std::size_t level) {
         return static_cast<double>(level) /

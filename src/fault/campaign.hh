@@ -202,14 +202,17 @@ class FaultCampaign
      * The graceful-degradation curve: run() at `levels` linearly
      * spaced severity scales in [0, 1] (each scaling the spec's own
      * probabilityScale), the same seed at every level so the curve
-     * varies only with severity. Every level sees the same uniforms,
-     * so one sampling pass builds every level's histogram (levels
-     * are grouped so a pass holds at most 2^maxFaults counters per
-     * thread); each point equals run() of the scaled spec exactly.
-     * The last level (scale 1) is run() of the spec itself, so a
-     * caller that wants both reads it from the curve.
+     * varies only with severity. Every level sees the same uniforms
+     * and each fault's threshold is nondecreasing in the level, so a
+     * fault fires at exactly the top c_j levels, and one counter per
+     * sample of its signature (c_0 .. c_{faults-1}) gives every
+     * level's histogram. A sampling pass takes the most levels G
+     * with (G + 1)^faults <= 2^maxFaults counters per thread (39 at
+     * 3 faults, 1 at 16); each point equals run() of the scaled
+     * spec exactly. The last level (scale 1) is run() of the spec
+     * itself, so a caller that wants both reads it from the curve.
      *
-     * @param levels number of curve points (>= 2)
+     * @param levels number of curve points (>= 2, <= maxCurveLevels)
      * @param samples_per_level missions per point (>= 10)
      */
     std::vector<DegradationPoint>
@@ -221,6 +224,10 @@ class FaultCampaign
     /** Most faults one campaign accepts: a sample's outcome is one
      * activation mask of this many bits. */
     static constexpr std::size_t maxFaults = 16;
+
+    /** Most points one degradation curve holds; checked before
+     * anything is allocated. */
+    static constexpr std::size_t maxCurveLevels = 10000;
 
   private:
     /** Outcome of one subset of platform-layer faults. */
@@ -281,9 +288,10 @@ class FaultCampaign
 
     /**
      * One sampling pass: `levels` rows of thresholds (level-major,
-     * one per fault) are compared against the same uniforms, and
-     * the result is each level's 2^faults mask histogram, level
-     * after level.
+     * one per fault, nondecreasing down the rows) see the same
+     * uniforms. Each sample bumps one counter of its firing-level
+     * signature, and the result is each level's 2^faults mask
+     * histogram, level after level.
      */
     std::vector<std::uint64_t>
     sampleOutcomes(const std::vector<double> &thresholds,

@@ -1081,6 +1081,13 @@ runFaultsStudy(const StudyContext &ctx)
     }
     const auto samples = ctx.params.getCount("samples", 4096);
     const auto levels = ctx.params.getCount("levels", 9);
+    // Checked before anything is built: every level holds a result.
+    if (levels > fault::FaultCampaign::maxCurveLevels) {
+        throw ModelError(
+            "parameter 'levels' of the faults study allows at most " +
+            std::to_string(fault::FaultCampaign::maxCurveLevels) +
+            " levels, got " + std::to_string(levels));
+    }
     const double seed_value = ctx.params.getNumber("seed", 1.0);
     if (seed_value < 0.0 || seed_value > StudyParams::maxExactInteger ||
         seed_value != std::floor(seed_value)) {

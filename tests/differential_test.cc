@@ -152,9 +152,10 @@ expectSameOutcome(const PathOutcome &a, const PathOutcome &b,
 }
 
 /**
- * The one-pass degradation curve at 2, 3 and 5 levels: every point
- * must equal runReference() of the campaign rebuilt with its
- * probabilityScale scaled to that level, exactly.
+ * The signature-counted degradation curve at 2, 3, 5 and 41 levels
+ * (41 takes two sampling passes at 3 faults): every point must equal
+ * runReference() of the campaign rebuilt with its probabilityScale
+ * scaled to that level, exactly.
  */
 void
 expectCurveMatchesScaledReferences(
@@ -162,7 +163,7 @@ expectCurveMatchesScaledReferences(
     std::uint64_t seed, const exec::ParallelOptions &parallel,
     const std::string &label)
 {
-    for (const std::size_t levels : {2u, 3u, 5u}) {
+    for (const std::size_t levels : {2u, 3u, 5u, 41u}) {
         const std::vector<DegradationPoint> curve =
             campaign.degradationCurve(levels, count, seed, parallel);
         ASSERT_EQ(curve.size(), levels) << label;

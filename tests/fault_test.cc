@@ -423,6 +423,111 @@ TEST(FaultCampaign, DegradationCurveStartsAtTheBaseline)
     EXPECT_LT(curve.back().result.safeVelocity.mean, baseline);
 }
 
+/**
+ * Every point of `campaign`'s curve at `levels` levels equals
+ * runReference() of the spec scaled to that level, field for field.
+ */
+void
+expectCurveIsScaledReference(const FaultCampaign &campaign,
+                             std::size_t levels, std::size_t count,
+                             std::uint64_t seed)
+{
+    const auto curve = campaign.degradationCurve(levels, count, seed);
+    ASSERT_EQ(curve.size(), levels);
+    for (std::size_t level = 0; level < levels; ++level) {
+        SCOPED_TRACE("level " + std::to_string(level) + " of " +
+                     std::to_string(levels));
+        EXPECT_EQ(curve[level].scale,
+                  static_cast<double>(level) /
+                      static_cast<double>(levels - 1));
+        CampaignSpec scaled = campaign.spec();
+        scaled.probabilityScale *= curve[level].scale;
+        expectBitIdentical(curve[level].result,
+                           FaultCampaign(std::move(scaled))
+                               .runReference(count, seed));
+    }
+}
+
+/** A sensor dropout firing with `probability` and derating the
+ * sensor rate by `derate`. */
+FaultSpec
+sensorFault(const std::string &name, double probability, double derate)
+{
+    FaultSpec fault;
+    fault.name = name;
+    fault.kind = FaultKind::SensorDropout;
+    fault.probability = probability;
+    fault.sensorDerate = derate;
+    return fault;
+}
+
+TEST(FaultCampaign, CurveThresholdsOnGridEdges)
+{
+    // p = 0.25 and 0.75 at 5 and 9 levels put every threshold on a
+    // multiple of 1/1024: a uniform equal to a cell's low edge must
+    // not fire a fault whose threshold is that edge.
+    CampaignSpec spec = tx2Campaign("none");
+    spec.faults = {sensorFault("quarter", 0.25, 0.3),
+                   sensorFault("three quarters", 0.75, 0.2)};
+    const FaultCampaign campaign(spec);
+    expectCurveIsScaledReference(campaign, 5, 20000, 3);
+    expectCurveIsScaledReference(campaign, 9, 20000, 4);
+}
+
+TEST(FaultCampaign, CurveThresholdsSaturateAtZeroAndOne)
+{
+    // probabilityScale 4 pins the upper levels' thresholds at 1 (every
+    // uniform fires); level 0 pins them all at 0; p = 1 saturates
+    // from the first nonzero level and p = 0 never fires.
+    CampaignSpec spec = tx2Campaign("none");
+    spec.faults = {sensorFault("often", 0.3, 0.4),
+                   sensorFault("mostly", 0.6, 0.5),
+                   sensorFault("always", 1.0, 0.1),
+                   sensorFault("never", 0.0, 0.9)};
+    spec.probabilityScale = 4.0;
+    const FaultCampaign campaign(spec);
+    expectCurveIsScaledReference(campaign, 7, 5000, 8);
+    const auto curve = campaign.degradationCurve(7, 5000, 8);
+    EXPECT_EQ(curve.front().result.faultActivationRate,
+              std::vector<double>(4, 0.0));
+    EXPECT_EQ(curve.back().result.faultActivationRate,
+              (std::vector<double>{1.0, 1.0, 1.0, 0.0}));
+}
+
+TEST(FaultCampaign, CurveSpansSeveralPasses)
+{
+    // A pass holds 39 levels at 3 faults, so 41 levels take two;
+    // 5 faults hold 8 a pass, so 9 levels end on a one-level pass.
+    const FaultCampaign mixed(tx2Campaign("mixed"));
+    ASSERT_EQ(mixed.spec().faults.size(), 3u);
+    expectCurveIsScaledReference(mixed, 41, 3000, 5);
+
+    CampaignSpec five = tx2Campaign("mixed");
+    five.faults.push_back(sensorFault("glitch", 0.4, 0.3));
+    five.faults.push_back(sensorFault("blur", 0.1, 0.6));
+    expectCurveIsScaledReference(FaultCampaign(five), 9, 3000, 6);
+}
+
+TEST(FaultCampaign, CurveOfTheNoneSuite)
+{
+    // No faults: one signature, every level in one pass.
+    const FaultCampaign campaign(tx2Campaign("none"));
+    expectCurveIsScaledReference(campaign, 6, 500, 2);
+}
+
+TEST(FaultCampaign, CurveLevelsAreCapped)
+{
+    const FaultCampaign campaign(tx2Campaign("mixed"));
+    try {
+        (void)campaign.degradationCurve(
+            FaultCampaign::maxCurveLevels + 1, 100);
+        FAIL() << "a curve above the level cap ran";
+    } catch (const ModelError &e) {
+        EXPECT_STREQ(e.what(), "degradation curve allows at most "
+                               "10000 levels, got 10001");
+    }
+}
+
 TEST(FaultCampaign, RedundancyAbsorbsAStageFailure)
 {
     CampaignSpec spec;

@@ -249,6 +249,27 @@ TEST(Runner, SweepStudyRejectsStepsAboveTheCap)
     }
 }
 
+TEST(Runner, FaultsStudyRejectsLevelsAboveTheCap)
+{
+    // 10^8 levels once reserved a result per level before sampling
+    // anything and died in std::bad_alloc; the cap is named first.
+    ScenarioSpec spec;
+    spec.study = "faults";
+    spec.overrides.set("levels", "100000000");
+    spec.overrides.set("samples", "100");
+    const ScenarioOutcome outcome = ScenarioRunner().run(spec);
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.error,
+              "parameter 'levels' of the faults study allows at most "
+              "10000 levels, got 100000000");
+
+    // The cap itself still runs.
+    spec.overrides.set("levels", "10000");
+    spec.overrides.set("samples", "10");
+    const ScenarioOutcome at_cap = ScenarioRunner().run(spec);
+    EXPECT_TRUE(at_cap.ok) << at_cap.error;
+}
+
 TEST(Runner, RooflineStudyRendersTheCeilingFamily)
 {
     namespace fs = std::filesystem;
