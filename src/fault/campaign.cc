@@ -35,38 +35,6 @@ namespace uavf1::fault {
 
 namespace {
 
-/** True for fault kinds evaluated on the platform layer. The
- * stage-scoped kinds belong here: they perturb how one stage sees
- * the *ceiling family* (through its WorkloadProfile), not the
- * stage's measured latency, so they ride the platform activation
- * mask and lower through the per-mask stage tables. */
-bool
-isPlatformFault(FaultKind kind)
-{
-    return kind == FaultKind::CeilingDerate ||
-           kind == FaultKind::OperatingPointLoss ||
-           kind == FaultKind::ThermalThrottle ||
-           kind == FaultKind::StageCeilingDerate ||
-           kind == FaultKind::StageTrafficInflation;
-}
-
-/** True for the platform-layer kinds that are scoped to one stage's
- * workload profile rather than the shared ceiling family. */
-bool
-isStageScopedPlatformFault(FaultKind kind)
-{
-    return kind == FaultKind::StageCeilingDerate ||
-           kind == FaultKind::StageTrafficInflation;
-}
-
-/** True for fault kinds evaluated on the SPA pipeline layer. */
-bool
-isPipelineFault(FaultKind kind)
-{
-    return kind == FaultKind::StageLatencyInflation ||
-           kind == FaultKind::StageFailure;
-}
-
 /** Samples whose uniforms a pass draws at a time. */
 constexpr std::size_t drawSamples = 128;
 
@@ -281,12 +249,18 @@ FaultCampaign::FaultCampaign(CampaignSpec spec) : _spec(std::move(spec))
     requireFinite(_spec.probabilityScale, "probabilityScale");
 
     for (std::size_t j = 0; j < _spec.faults.size(); ++j) {
-        const FaultSpec &fault = _spec.faults[j];
-        validateFaultSpec(fault);
-        if (isPlatformFault(fault.kind))
+        validateFaultSpec(_spec.faults[j]);
+        switch (layerOf(_spec.faults[j].kind)) {
+          case FaultLayer::Platform:
             _platformFaults.push_back(j);
-        else if (isPipelineFault(fault.kind))
+            break;
+          case FaultLayer::Pipeline:
             _pipelineFaults.push_back(j);
+            break;
+          case FaultLayer::Sensor:
+            _sensorFaults.push_back(j);
+            break;
+        }
     }
 
     // A sample's outcome is one joint activation mask counted in a
@@ -327,10 +301,9 @@ FaultCampaign::FaultCampaign(CampaignSpec spec) : _spec(std::move(spec))
         // Surface profile/operating-point problems once up front.
         (void)_spec.platform->attainable(_spec.profile,
                                          _spec.opIndex);
-        for (const std::size_t j : _platformFaults) {
-            const FaultSpec &fault = _spec.faults[j];
-            if (fault.kind != FaultKind::CeilingDerate)
-                continue;
+    }
+    for (const FaultSpec &fault : _spec.faults) {
+        if (fault.kind == FaultKind::CeilingDerate) {
             const std::size_t limit =
                 fault.ceilingKind == platform::CeilingKind::Compute
                     ? _spec.platform->computeCeilings().size()
@@ -343,69 +316,57 @@ FaultCampaign::FaultCampaign(CampaignSpec spec) : _spec(std::move(spec))
                     " ceilings of " + _spec.platform->name());
             }
         }
-        for (const std::size_t j : _platformFaults) {
-            const FaultSpec &fault = _spec.faults[j];
-            if (!isStageScopedPlatformFault(fault.kind))
-                continue;
-            if (!_spec.pipeline) {
+        if (!resolvesStage(fault.kind))
+            continue;
+        // Only a stage-scoped platform fault gets here without a
+        // pipeline; the pipeline layer was checked above.
+        if (!_spec.pipeline) {
+            throw ModelError(
+                "fault '" + fault.name + "' (" + toString(fault.kind) +
+                ") is scoped to stage '" + fault.stage +
+                "', but the campaign has no SPA pipeline "
+                "configured to resolve the stage against");
+        }
+        const workload::SpaStage &stage =
+            _spec.pipeline->stages()[_spec.pipeline->stageIndex(
+                fault.stage)];
+        if (layerOf(fault.kind) != FaultLayer::Platform)
+            continue;
+        if (!stage.annotated()) {
+            throw ModelError(
+                "stage '" + fault.stage + "' named by fault '" +
+                fault.name +
+                "' carries no roofline annotation, so a "
+                "stage-scoped platform fault cannot reach it "
+                "(the stage has no workload profile to derate)");
+        }
+        if (fault.kind == FaultKind::StageTrafficInflation) {
+            const std::size_t limit = std::min(
+                _spec.platform->memoryCeilings().size(),
+                platform::WorkloadProfile::maxMemoryLevels);
+            if (fault.ceilingIndex >= limit) {
                 throw ModelError(
-                    "fault '" + fault.name + "' (" +
-                    toString(fault.kind) +
-                    ") is scoped to stage '" + fault.stage +
-                    "', but the campaign has no SPA pipeline "
-                    "configured to resolve the stage against");
-            }
-            bool found = false;
-            bool annotated = false;
-            for (const auto &stage : _spec.pipeline->stages()) {
-                if (stage.name != fault.stage)
-                    continue;
-                found = true;
-                annotated = stage.annotated();
-                break;
-            }
-            if (!found) {
-                // Reuse the pipeline's own unknown-stage diagnostic
-                // (with its did-you-mean hints).
-                (void)_spec.pipeline->withStageLatency(
-                    fault.stage, units::Seconds(1.0), "");
-            }
-            if (!annotated) {
-                throw ModelError(
-                    "stage '" + fault.stage + "' named by fault '" +
-                    fault.name +
-                    "' carries no roofline annotation, so a "
-                    "stage-scoped platform fault cannot reach it "
-                    "(the stage has no workload profile to derate)");
-            }
-            if (fault.kind == FaultKind::StageTrafficInflation) {
-                const std::size_t limit = std::min(
-                    _spec.platform->memoryCeilings().size(),
-                    platform::WorkloadProfile::maxMemoryLevels);
-                if (fault.ceilingIndex >= limit) {
-                    throw ModelError(
-                        "ceilingIndex of fault '" + fault.name +
-                        "' does not name a memory level of " +
-                        _spec.platform->name());
-                }
+                    "ceilingIndex of fault '" + fault.name +
+                    "' does not name a memory level of " +
+                    _spec.platform->name());
             }
         }
-        precomputePlatformVariants();
     }
+
     if (_spec.pipeline) {
-        for (const std::size_t j : _pipelineFaults) {
-            const FaultSpec &fault = _spec.faults[j];
-            bool found = false;
-            for (const auto &stage : _spec.pipeline->stages())
-                found = found || stage.name == fault.stage;
-            if (!found) {
-                // Reuse the pipeline's own unknown-stage diagnostic.
-                (void)_spec.pipeline->withStageLatency(
-                    fault.stage, units::Seconds(1.0), "");
-            }
-        }
-        precomputePipelineVariants();
+        _stageCount = _spec.pipeline->stages().size();
+        _stageNames = _spec.pipeline->stageNames();
     }
+    if (_spec.platform) {
+        precomputePlatformVariants();
+    } else if (_spec.pipeline) {
+        // Without a platform the one base row is the measured
+        // latencies.
+        for (const auto &stage : _spec.pipeline->stages())
+            _stageBase.push_back(stage.latency.value());
+    }
+    if (_spec.pipeline)
+        precomputePipelineVariants();
 }
 
 void
@@ -415,12 +376,8 @@ FaultCampaign::precomputePlatformVariants()
     const std::size_t masks = std::size_t{1}
                               << _platformFaults.size();
     _platformVariants.reserve(masks);
-    if (_spec.pipeline) {
-        _stageCount = _spec.pipeline->stages().size();
-        _stageNames = _spec.pipeline->stageNames();
-        _stageBase.assign(masks * _stageCount, 0.0);
-        _stageSlot.assign(masks * _stageCount, noSlot);
-    }
+    _stageBase.assign(masks * _stageCount, 0.0);
+    _stageKind.assign(masks * _stageCount, StageKind::Measured);
     for (std::size_t mask = 0; mask < masks; ++mask) {
         platform::RooflinePlatform::Spec degraded;
         degraded.name = machine.name();
@@ -550,7 +507,7 @@ FaultCampaign::precomputePlatformVariants()
                 continue;
             const FaultSpec &fault =
                 _spec.faults[_platformFaults[bit]];
-            if (!isStageScopedPlatformFault(fault.kind))
+            if (!resolvesStage(fault.kind))
                 continue;
             for (std::size_t s = 0; s < _stageCount; ++s) {
                 if (_stageNames[s] != fault.stage)
@@ -592,21 +549,16 @@ FaultCampaign::precomputePlatformVariants()
         eval_options.measuredFirst = mask == 0;
         const workload::PipelineBound stage_bound =
             evaluator.evaluate(eval_options);
-        const std::size_t compute_ceilings =
-            machine.computeCeilings().size();
         for (std::size_t s = 0; s < _stageCount; ++s) {
             const workload::StageBound &stage =
                 stage_bound.stages[s];
             _stageBase[mask * _stageCount + s] =
                 stage.latencySeconds;
             if (stage.binding.attributed) {
-                _stageSlot[mask * _stageCount + s] =
-                    static_cast<std::uint32_t>(
-                        stage.binding.kind ==
-                                platform::CeilingKind::Compute
-                            ? stage.binding.index
-                            : compute_ceilings +
-                                  stage.binding.index);
+                _stageKind[mask * _stageCount + s] =
+                    stage.binding.kind == platform::CeilingKind::Compute
+                        ? StageKind::Compute
+                        : StageKind::Memory;
             }
         }
     }
@@ -615,19 +567,18 @@ FaultCampaign::precomputePlatformVariants()
 void
 FaultCampaign::precomputePipelineVariants()
 {
-    const pipeline::ModularRedundancy redundancy(_spec.redundancy);
     // With R replicas racing on the same frame, takeover absorbs up
     // to R-1 stage failures; one more leaves no healthy replica.
-    const int failure_budget = redundancy.replicas() - 1;
+    const int failure_budget =
+        pipeline::replicaCount(_spec.redundancy) - 1;
 
     const std::size_t masks = std::size_t{1}
                               << _pipelineFaults.size();
-    _pipelineVariants.reserve(masks);
-    if (_spec.platform)
-        _stageInflation.assign(masks * _stageCount, 1.0);
+    _pipelineAborts.assign(masks, false);
+    _stageInflation.assign(masks * _stageCount, 1.0);
     for (std::size_t mask = 0; mask < masks; ++mask) {
         int failures = 0;
-        workload::SpaPipeline pipe = *_spec.pipeline;
+        double *inflation = &_stageInflation[mask * _stageCount];
         for (std::size_t bit = 0; bit < _pipelineFaults.size();
              ++bit) {
             if ((mask & (std::size_t{1} << bit)) == 0)
@@ -638,73 +589,23 @@ FaultCampaign::precomputePipelineVariants()
                 ++failures;
                 continue;
             }
-            // Inflations compound: read the stage's current latency
-            // so two active inflations of one stage multiply.
-            for (const auto &stage : pipe.stages()) {
-                if (stage.name != fault.stage)
-                    continue;
-                pipe = pipe.withStageLatency(
-                    fault.stage,
-                    units::Seconds(stage.latency.value() *
-                                   fault.latencyFactor),
-                    "");
-                break;
-            }
-            if (_spec.platform) {
-                // The same compounding, as a factor on the
-                // *evaluated* per-stage bound of the platform path.
-                for (std::size_t s = 0; s < _stageCount; ++s) {
-                    if (_stageNames[s] == fault.stage)
-                        _stageInflation[mask * _stageCount + s] *=
-                            fault.latencyFactor;
-                }
+            // Inflations compound: two active inflations of one
+            // stage multiply.
+            for (std::size_t s = 0; s < _stageCount; ++s) {
+                if (_stageNames[s] == fault.stage)
+                    inflation[s] *= fault.latencyFactor;
             }
         }
-
-        PipelineVariant variant;
-        if (failures > failure_budget) {
-            variant.aborts = true;
-        } else {
-            variant.throughputHz =
-                redundancy.effectiveThroughput(pipe.throughput())
-                    .value();
-        }
-        _pipelineVariants.push_back(variant);
+        _pipelineAborts[mask] = failures > failure_budget;
     }
 }
 
 core::F1Analysis
 FaultCampaign::baseline() const
 {
-    core::F1Inputs inputs = _spec.nominal;
-    if (_spec.platform) {
-        const PlatformVariant &variant = _platformVariants.front();
-        inputs.computeRate = units::Hertz(variant.computeRate);
-        inputs.computeBinding = variant.binding;
-    }
-    if (_spec.pipeline) {
-        double pipeline_rate = _pipelineVariants.front().throughputHz;
-        if (_spec.platform) {
-            // The same per-stage path an un-faulted sample takes.
-            const pipeline::ModularRedundancy redundancy(
-                _spec.redundancy);
-            double total = 0.0;
-            for (std::size_t s = 0; s < _stageCount; ++s)
-                total += _stageBase[s];
-            pipeline_rate =
-                redundancy
-                    .effectiveThroughput(units::Hertz(1.0 / total))
-                    .value();
-        }
-        if (!_spec.platform ||
-            pipeline_rate < inputs.computeRate.value()) {
-            inputs.computeRate = units::Hertz(pipeline_rate);
-            inputs.computeBinding = {};
-        }
-    }
-    core::F1Analysis analysis;
-    core::F1Model::analyzeInto(inputs, analysis);
-    return analysis;
+    // Mask 0 never aborts: no fault is active.
+    return outcome(0, pipeline::ModularRedundancy(_spec.redundancy))
+        .analysis;
 }
 
 FaultCampaign::Outcome
@@ -713,34 +614,25 @@ FaultCampaign::outcome(std::uint64_t mask,
 {
     // Split the joint mask into the per-layer table indices and fold
     // the active sensor derates in fault order.
-    std::size_t platform_mask = 0;
-    std::size_t pipeline_mask = 0;
-    std::size_t platform_bit = 0;
-    std::size_t pipeline_bit = 0;
+    const auto layer_mask = [mask](const std::vector<std::size_t> &faults) {
+        std::size_t out = 0;
+        for (std::size_t bit = 0; bit < faults.size(); ++bit)
+            out |= static_cast<std::size_t>((mask >> faults[bit]) & 1u)
+                   << bit;
+        return out;
+    };
+    const std::size_t platform_mask = layer_mask(_platformFaults);
+    const std::size_t pipeline_mask = layer_mask(_pipelineFaults);
     double sensor_fraction = 1.0;
-    for (std::size_t j = 0; j < _spec.faults.size(); ++j) {
-        const bool active = ((mask >> j) & 1u) != 0;
-        const FaultSpec &fault = _spec.faults[j];
-        if (isPlatformFault(fault.kind)) {
-            if (active)
-                platform_mask |= std::size_t{1} << platform_bit;
-            ++platform_bit;
-        } else if (isPipelineFault(fault.kind)) {
-            if (active)
-                pipeline_mask |= std::size_t{1} << pipeline_bit;
-            ++pipeline_bit;
-        } else if (active) {
-            sensor_fraction *= 1.0 - fault.sensorDerate;
-        }
+    for (const std::size_t j : _sensorFaults) {
+        if ((mask >> j) & 1u)
+            sensor_fraction *= 1.0 - _spec.faults[j].sensorDerate;
     }
 
-    const platform::RooflinePlatform *machine =
-        _spec.platform ? &*_spec.platform : nullptr;
-    const bool stage_path = machine && _spec.pipeline.has_value();
     core::F1Inputs inputs = _spec.nominal;
     bool abort = sensor_fraction <= 0.0;
     platform::CeilingRef binding{};
-    if (machine) {
+    if (_spec.platform) {
         const PlatformVariant &variant =
             _platformVariants[platform_mask];
         abort = abort || variant.aborts;
@@ -748,13 +640,10 @@ FaultCampaign::outcome(std::uint64_t mask,
         binding = variant.binding;
     }
     if (_spec.pipeline) {
-        const PipelineVariant &variant =
-            _pipelineVariants[pipeline_mask];
-        abort = abort || variant.aborts;
-        double pipeline_rate = variant.throughputHz;
-        if (!abort && stage_path) {
-            // Workload-aware path: the degraded per-stage bounds,
-            // inflated by the active stage faults.
+        abort = abort || _pipelineAborts[pipeline_mask];
+        if (!abort) {
+            // The stage latencies of the platform variant, inflated
+            // by the active stage faults.
             const double *base =
                 &_stageBase[platform_mask * _stageCount];
             const double *inflation =
@@ -762,15 +651,15 @@ FaultCampaign::outcome(std::uint64_t mask,
             double total = 0.0;
             for (std::size_t s = 0; s < _stageCount; ++s)
                 total += base[s] * inflation[s];
-            pipeline_rate =
+            const double pipeline_rate =
                 redundancy
                     .effectiveThroughput(units::Hertz(1.0 / total))
                     .value();
-        }
-        if (!abort &&
-            (!machine || pipeline_rate < inputs.computeRate.value())) {
-            inputs.computeRate = units::Hertz(pipeline_rate);
-            binding = {};
+            if (!_spec.platform ||
+                pipeline_rate < inputs.computeRate.value()) {
+                inputs.computeRate = units::Hertz(pipeline_rate);
+                binding = {};
+            }
         }
     }
 
@@ -783,15 +672,7 @@ FaultCampaign::outcome(std::uint64_t mask,
     inputs.sensorRate =
         units::Hertz(inputs.sensorRate.value() * sensor_fraction);
     inputs.computeBinding = binding;
-    core::F1Analysis analysis;
-    core::F1Model::analyzeInto(inputs, analysis);
-    out.safeVelocity = analysis.safeVelocity.value();
-    if (machine && binding.attributed) {
-        out.ceilingSlot = static_cast<std::uint32_t>(
-            binding.kind == platform::CeilingKind::Compute
-                ? binding.index
-                : machine->computeCeilings().size() + binding.index);
-    }
+    core::F1Model::analyzeInto(inputs, out.analysis);
     return out;
 }
 
@@ -848,23 +729,23 @@ FaultCampaign::add(Tally &tally, std::uint64_t mask,
         tally.aborts += n;
         return;
     }
-    tally.survivors.emplace_back(outcome.safeVelocity, n);
-    if (outcome.ceilingSlot != noSlot)
-        tally.ceilings[outcome.ceilingSlot] += n;
+    tally.survivors.emplace_back(outcome.analysis.safeVelocity.value(),
+                                 n);
+    // Attributed only through a platform variant.
+    const platform::CeilingRef &binding =
+        outcome.analysis.computeBinding;
+    if (binding.attributed) {
+        tally.ceilings[binding.kind == platform::CeilingKind::Compute
+                           ? binding.index
+                           : _spec.platform->computeCeilings().size() +
+                                 binding.index] += n;
+    }
     if (tally.stages.empty())
         return;
-    // Stage kinds: 0 compute-bound, 1 memory-bound, 2 measured.
-    const std::size_t compute_ceilings =
-        _spec.platform->computeCeilings().size();
-    const std::uint32_t *slots =
-        &_stageSlot[outcome.platformMask * _stageCount];
-    for (std::size_t s = 0; s < _stageCount; ++s) {
-        const std::size_t kind =
-            slots[s] == noSlot
-                ? 2
-                : (slots[s] < compute_ceilings ? 0 : 1);
-        tally.stages[s * 3 + kind] += n;
-    }
+    const StageKind *kinds =
+        &_stageKind[outcome.platformMask * _stageCount];
+    for (std::size_t s = 0; s < _stageCount; ++s)
+        tally.stages[s * 3 + static_cast<std::size_t>(kinds[s])] += n;
 }
 
 CampaignResult

@@ -23,7 +23,11 @@
  * All degraded platform variants (one per subset of platform-layer
  * faults) and pipeline variants (per subset of workload-layer
  * faults) are precomputed at construction, where configuration
- * errors surface with full messages.
+ * errors surface with full messages. Every pipeline path composes
+ * a mask one way: the stage latencies of its platform variant (the
+ * measured ones without a platform) times the latency inflations
+ * of its pipeline variant, summed and passed through the replica
+ * voter. baseline() is that composition at mask 0.
  */
 
 #ifndef UAVF1_FAULT_CAMPAIGN_HH
@@ -65,20 +69,24 @@ struct CampaignSpec
 
     /**
      * SPA pipeline evaluation of f_compute under workload faults:
-     * required whenever a workload-layer fault (StageFailure,
-     * StageLatencyInflation) is present. Stage failures survive
-     * only while active failures stay within `redundancy`'s replica
-     * budget (replicas - 1); redundant schemes pay the voter latency
-     * on every sample, faulted or not.
+     * required whenever a fault names a stage (resolvesStage). The
+     * pipeline's rate is 1 / sum_s latency[s] * inflation[s], where
+     * inflation[s] is the product of the active
+     * StageLatencyInflation factors on stage s, through
+     * `redundancy`'s voter. Stage failures survive only while
+     * active failures stay within the replica budget (replicas - 1);
+     * redundant schemes pay the voter latency on every sample,
+     * faulted or not.
      *
-     * When `platform` is also set, stage latencies route through the
-     * per-stage workload-aware evaluator: with no platform fault
-     * active the measured latencies win (bit-identical to the
-     * pipeline-only path on the pipeline's measured platform), and
-     * under platform faults each stage's degraded modeled bound acts
-     * as a latency floor — so a StageLatencyInflation multiplies the
-     * *evaluated* bound, not just the raw measurement, and the
-     * campaign reports per-stage binding shifts.
+     * Without `platform`, latency[s] is the stage's measured
+     * latency. With `platform` set, it is the stage's bound from the
+     * per-stage workload-aware evaluator on the degraded machine:
+     * with no platform fault active the measured latencies win
+     * (bit-identical to the pipeline-only path on the pipeline's
+     * measured platform), and under platform faults each stage's
+     * degraded modeled bound acts as a latency floor — so an
+     * inflation multiplies the *evaluated* bound, and the campaign
+     * reports per-stage binding shifts.
      */
     std::optional<workload::SpaPipeline> pipeline;
     pipeline::RedundancyScheme redundancy =
@@ -238,25 +246,19 @@ class FaultCampaign
         platform::CeilingRef binding{}; ///< Degraded binding ceiling.
     };
 
-    /** Outcome of one subset of workload-layer faults. */
-    struct PipelineVariant
+    /** What binds one stage's latency in one platform variant. */
+    enum class StageKind : std::uint8_t
     {
-        bool aborts = false;    ///< Failures exceed replica budget.
-        double throughputHz = 0.0; ///< Hz, when not aborting.
+        Compute,
+        Memory,
+        Measured,
     };
-
-    /** Flat-slot sentinel: no ceiling attributed (for a stage,
-     * its latency is measurement-sourced). */
-    static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
 
     /** What one joint activation mask leads to. */
     struct Outcome
     {
         bool aborts = false;
-        double safeVelocity = 0.0; ///< m/s, when surviving.
-        /** Binding ceiling as a flat slot (compute ceilings first),
-         * or noSlot. */
-        std::uint32_t ceilingSlot = noSlot;
+        core::F1Analysis analysis; ///< When surviving.
         std::size_t platformMask = 0; ///< Row of the stage tables.
     };
 
@@ -268,8 +270,10 @@ class FaultCampaign
 
     /**
      * The scalar outcome of joint activation mask `mask` (bit j =
-     * fault j fired): the variant and stage tables, the sensor
-     * derates folded in fault order, and F1Model::analyzeInto.
+     * fault j fired): the variant and stage tables, the pipeline
+     * rate composed as sum_s base[s] * inflation[s] through the
+     * voter, the sensor derates folded in fault order, and
+     * F1Model::analyzeInto.
      *
      * @throws ModelError when the degraded inputs fail F1
      *         validation
@@ -313,28 +317,31 @@ class FaultCampaign
                              const exec::ParallelOptions &parallel) const;
 
     CampaignSpec _spec;
-    /** Platform- and pipeline-layer fault indices (order preserved
-     * within each); sensor faults fold in directly by index. */
+    /** Fault indices of each layer (FaultLayer), in fault order; a
+     * layer's activation mask has bit b set when its b-th fault
+     * fired. */
     std::vector<std::size_t> _platformFaults;
     std::vector<std::size_t> _pipelineFaults;
-    /** Variant tables indexed by the layer's activation mask. */
+    std::vector<std::size_t> _sensorFaults;
+    /** Platform variants, indexed by the platform mask. */
     std::vector<PlatformVariant> _platformVariants;
-    std::vector<PipelineVariant> _pipelineVariants;
+    /** Per pipeline mask: active stage failures exceed the replica
+     * budget. */
+    std::vector<bool> _pipelineAborts;
     /**
-     * Per-stage tables of the workload-aware path, used only when
-     * both platform and pipeline are configured. _stageBase holds
-     * each platform variant's evaluated per-stage latency (seconds)
-     * and _stageSlot its binding — a flat ceiling slot (compute
-     * ceilings first) or noSlot — both indexed
+     * Per-stage tables, filled whenever a pipeline is configured.
+     * _stageBase holds each platform variant's per-stage latency
+     * (seconds; the one row of measured latencies without a
+     * platform) and _stageKind what binds it, both indexed
      * [platform_mask * _stageCount + stage]. _stageInflation holds
      * each pipeline variant's per-stage latency-inflation product,
      * indexed [pipeline_mask * _stageCount + stage]. A sample's
-     * pipeline latency is then sum_s base[s] * inflation[s].
+     * pipeline latency is sum_s base[s] * inflation[s].
      */
     std::size_t _stageCount = 0;
     std::vector<std::string> _stageNames;
     std::vector<double> _stageBase;
-    std::vector<std::uint32_t> _stageSlot;
+    std::vector<StageKind> _stageKind;
     std::vector<double> _stageInflation;
 };
 

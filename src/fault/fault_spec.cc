@@ -34,6 +34,34 @@ toString(FaultKind kind)
     return "unknown";
 }
 
+FaultLayer
+layerOf(FaultKind kind)
+{
+    switch (kind) {
+      case FaultKind::CeilingDerate:
+      case FaultKind::OperatingPointLoss:
+      case FaultKind::ThermalThrottle:
+      case FaultKind::StageCeilingDerate:
+      case FaultKind::StageTrafficInflation:
+        return FaultLayer::Platform;
+      case FaultKind::StageLatencyInflation:
+      case FaultKind::StageFailure:
+        return FaultLayer::Pipeline;
+      case FaultKind::SensorDropout:
+        return FaultLayer::Sensor;
+    }
+    return FaultLayer::Platform;
+}
+
+bool
+resolvesStage(FaultKind kind)
+{
+    return kind == FaultKind::StageLatencyInflation ||
+           kind == FaultKind::StageFailure ||
+           kind == FaultKind::StageCeilingDerate ||
+           kind == FaultKind::StageTrafficInflation;
+}
+
 void
 validateFaultSpec(const FaultSpec &spec)
 {
@@ -43,6 +71,10 @@ validateFaultSpec(const FaultSpec &spec)
     if (!(spec.probability >= 0.0) || spec.probability > 1.0) {
         throw ModelError("probability of " + where +
                          " must be in [0, 1]");
+    }
+    if (resolvesStage(spec.kind) && trim(spec.stage).empty()) {
+        throw ModelError("stage of " + where +
+                         " must name an SPA stage");
     }
     switch (spec.kind) {
       case FaultKind::CeilingDerate:
@@ -62,10 +94,6 @@ validateFaultSpec(const FaultSpec &spec)
         }
         break;
       case FaultKind::StageLatencyInflation:
-        if (trim(spec.stage).empty()) {
-            throw ModelError("stage of " + where +
-                             " must name an SPA stage");
-        }
         if (!(spec.latencyFactor >= 1.0) ||
             spec.latencyFactor > 1e6) {
             throw ModelError("latencyFactor of " + where +
@@ -73,10 +101,6 @@ validateFaultSpec(const FaultSpec &spec)
         }
         break;
       case FaultKind::StageFailure:
-        if (trim(spec.stage).empty()) {
-            throw ModelError("stage of " + where +
-                             " must name an SPA stage");
-        }
         break;
       case FaultKind::SensorDropout:
         if (!(spec.sensorDerate >= 0.0) || spec.sensorDerate > 1.0) {
@@ -85,10 +109,6 @@ validateFaultSpec(const FaultSpec &spec)
         }
         break;
       case FaultKind::StageCeilingDerate:
-        if (trim(spec.stage).empty()) {
-            throw ModelError("stage of " + where +
-                             " must name an SPA stage");
-        }
         if (!(spec.derate >= 0.0) || spec.derate > 1.0) {
             throw ModelError("derate of " + where +
                              " must be in [0, 1]");
@@ -102,10 +122,6 @@ validateFaultSpec(const FaultSpec &spec)
         }
         break;
       case FaultKind::StageTrafficInflation:
-        if (trim(spec.stage).empty()) {
-            throw ModelError("stage of " + where +
-                             " must name an SPA stage");
-        }
         if (!(spec.trafficFactor >= 1.0) ||
             spec.trafficFactor > 1e6) {
             throw ModelError("trafficFactor of " + where +

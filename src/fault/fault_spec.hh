@@ -74,6 +74,26 @@ enum class FaultKind
 /** Printable fault-kind name. */
 const char *toString(FaultKind kind);
 
+/** The model layer a fault kind perturbs. */
+enum class FaultLayer
+{
+    Platform, ///< The ceiling family, or one stage's view of it.
+    Pipeline, ///< The SPA pipeline's measured stage latencies.
+    Sensor,   ///< The sensor stream.
+};
+
+/**
+ * The layer `kind` is evaluated on. The stage-scoped kinds
+ * (StageCeilingDerate, StageTrafficInflation) are Platform: they
+ * perturb how one stage sees the ceiling family, not the stage's
+ * measured latency.
+ */
+FaultLayer layerOf(FaultKind kind);
+
+/** True for the kinds whose `stage` names an SPA stage, which a
+ * campaign resolves against its pipeline. */
+bool resolvesStage(FaultKind kind);
+
 /**
  * One fault mode: what breaks, how badly, and how often.
  *

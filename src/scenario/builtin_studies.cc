@@ -1101,15 +1101,11 @@ runFaultsStudy(const StudyContext &ctx)
     // Any stage-resolved fault — workload-layer latency/failure or
     // the stage-scoped platform kinds — needs the SPA pipeline
     // configured so the campaign can resolve stage names.
-    bool stage_faults = false;
-    for (const auto &spec : suite.faults) {
-        stage_faults =
-            stage_faults ||
-            spec.kind == fault::FaultKind::StageFailure ||
-            spec.kind == fault::FaultKind::StageLatencyInflation ||
-            spec.kind == fault::FaultKind::StageCeilingDerate ||
-            spec.kind == fault::FaultKind::StageTrafficInflation;
-    }
+    const bool stage_faults = std::any_of(
+        suite.faults.begin(), suite.faults.end(),
+        [](const fault::FaultSpec &spec) {
+            return fault::resolvesStage(spec.kind);
+        });
 
     // Stage-failure suites default to DMR takeover (the paper's
     // Fig. 14 remedy); platform-only suites run a single computer.
@@ -1134,6 +1130,16 @@ runFaultsStudy(const StudyContext &ctx)
         if (!hints.empty())
             message += " (did you mean " + join(hints, " or ") + "?)";
         throw ModelError(message);
+    }
+    // Replicas only act through the SPA pipeline, which only a
+    // suite with a stage-resolved fault configures.
+    if (!stage_faults &&
+        redundancy != pipeline::RedundancyScheme::None) {
+        throw ModelError(
+            "redundancy '" + redundancy_name + "' needs a fault suite "
+            "that names an SPA stage, but suite '" + suite.name +
+            "' names none, so the campaign has no pipeline for the "
+            "replicas to take over; use redundancy=none");
     }
 
     StudyParams knob_overrides;

@@ -9,6 +9,7 @@
 #include <cctype>
 #include <chrono>
 #include <filesystem>
+#include <new>
 
 #include "plot/chart.hh"
 #include "plot/csv_writer.hh"
@@ -66,6 +67,8 @@ toString(ScenarioStatus status)
         return "cancelled";
       case ScenarioStatus::FaultAborted:
         return "fault-aborted";
+      case ScenarioStatus::ResourceExhausted:
+        return "resource-exhausted";
       case ScenarioStatus::Error:
         return "error";
     }
@@ -196,6 +199,10 @@ ScenarioRunner::runWithBasename(const ScenarioSpec &spec,
     } catch (const InfeasibleError &e) {
         outcome.status = ScenarioStatus::Infeasible;
         outcome.error = e.what();
+    } catch (const std::bad_alloc &) {
+        outcome.status = ScenarioStatus::ResourceExhausted;
+        outcome.error = "study '" + spec.study +
+                        "' ran out of memory (std::bad_alloc)";
     } catch (const std::exception &e) {
         outcome.status = ScenarioStatus::Error;
         outcome.error = e.what();

@@ -61,6 +61,7 @@ enum class ScenarioStatus
     Timeout,     ///< TimeoutError: per-scenario deadline exceeded.
     Cancelled,   ///< CancelledError: cut off (e.g. fail-fast).
     FaultAborted, ///< FaultInducedAbort: no viable config under fault.
+    ResourceExhausted, ///< std::bad_alloc: the study ran out of memory.
     Error,       ///< Any other failure.
 };
 

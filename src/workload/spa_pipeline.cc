@@ -56,6 +56,21 @@ SpaPipeline::hasStage(const std::string &stage_name) const
     return false;
 }
 
+std::size_t
+SpaPipeline::stageIndex(const std::string &stage_name) const
+{
+    for (std::size_t s = 0; s < _stages.size(); ++s) {
+        if (_stages[s].name == stage_name)
+            return s;
+    }
+    std::string message = "SPA pipeline '" + _name +
+                          "' has no stage '" + stage_name + "'";
+    const auto hints = closestMatches(stage_name, stageNames());
+    if (!hints.empty())
+        message += " (did you mean " + join(hints, " or ") + "?)";
+    throw ModelError(message);
+}
+
 units::Seconds
 SpaPipeline::totalLatency() const
 {
@@ -87,21 +102,11 @@ SpaPipeline::withStageLatency(const std::string &stage_name,
                               const std::string &tag) const
 {
     requirePositive(latency.value(), "latency");
+    (void)stageIndex(stage_name);
     std::vector<SpaStage> stages = _stages;
-    bool found = false;
     for (auto &stage : stages) {
-        if (stage.name == stage_name) {
+        if (stage.name == stage_name)
             stage.latency = latency;
-            found = true;
-        }
-    }
-    if (!found) {
-        std::string message = "SPA pipeline '" + _name +
-                              "' has no stage '" + stage_name + "'";
-        const auto hints = closestMatches(stage_name, stageNames());
-        if (!hints.empty())
-            message += " (did you mean " + join(hints, " or ") + "?)";
-        throw ModelError(message);
     }
     return SpaPipeline(_name + tag, std::move(stages), _measuredOn);
 }

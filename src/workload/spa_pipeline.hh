@@ -99,6 +99,14 @@ class SpaPipeline
     /** True when a stage of that name exists. */
     bool hasStage(const std::string &stage_name) const;
 
+    /**
+     * Index of the first stage named `stage_name`.
+     *
+     * @throws ModelError if no stage has that name, with
+     *         prefix/edit-distance "did you mean" suggestions
+     */
+    std::size_t stageIndex(const std::string &stage_name) const;
+
     /** Sum of stage latencies. */
     units::Seconds totalLatency() const;
 

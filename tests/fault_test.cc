@@ -263,6 +263,42 @@ TEST(FaultSuite, CatalogCoversEveryLayerAndRejectsUnknownNames)
                  "stage-traffic-inflation");
 }
 
+TEST(FaultSpec, EveryKindHasOneLayerAndStageRule)
+{
+    // The stage-scoped kinds ride the platform layer but name a
+    // stage, like the two pipeline kinds.
+    const struct
+    {
+        FaultKind kind;
+        FaultLayer layer;
+        bool stage;
+    } table[] = {
+        {FaultKind::CeilingDerate, FaultLayer::Platform, false},
+        {FaultKind::OperatingPointLoss, FaultLayer::Platform, false},
+        {FaultKind::ThermalThrottle, FaultLayer::Platform, false},
+        {FaultKind::StageLatencyInflation, FaultLayer::Pipeline, true},
+        {FaultKind::StageFailure, FaultLayer::Pipeline, true},
+        {FaultKind::SensorDropout, FaultLayer::Sensor, false},
+        {FaultKind::StageCeilingDerate, FaultLayer::Platform, true},
+        {FaultKind::StageTrafficInflation, FaultLayer::Platform, true},
+    };
+    for (const auto &row : table) {
+        SCOPED_TRACE(toString(row.kind));
+        EXPECT_EQ(layerOf(row.kind), row.layer);
+        EXPECT_EQ(resolvesStage(row.kind), row.stage);
+
+        // A stage-resolved kind must name its stage.
+        FaultSpec spec;
+        spec.name = "demo";
+        spec.kind = row.kind;
+        if (row.stage) {
+            EXPECT_THROW(validateFaultSpec(spec), ModelError);
+            spec.stage = "SLAM";
+        }
+        EXPECT_NO_THROW(validateFaultSpec(spec));
+    }
+}
+
 /** A TX2 + DroNet campaign spec loaded with one standard suite. */
 CampaignSpec
 tx2Campaign(const std::string &suite)
@@ -391,36 +427,131 @@ TEST(FaultCampaign, FaultedCampaignIsBitIdenticalAcrossThreads)
               reseeded.safeVelocity.mean);
 }
 
+/**
+ * The stage-failure suite on the MAVBench pipeline under DMR. With
+ * `with_platform` the TX2 family runs the SPA algorithm and the mixed
+ * suite faults it too, so both layers fault at once.
+ */
+CampaignSpec
+spaCampaign(bool with_platform)
+{
+    CampaignSpec spec;
+    spec.nominal = studies::pelicanInputs(units::Hertz(20.0));
+    spec.pipeline = workload::SpaPipeline::mavbenchPackageDeliveryTx2();
+    spec.redundancy = pipeline::RedundancyScheme::Dual;
+    spec.faults = findFaultSuite("stage-failure").faults;
+    if (with_platform) {
+        const auto &catalog = components::Catalog::standard();
+        const platform::RooflinePlatform &tx2 =
+            catalog.rooflines().byName("Nvidia TX2");
+        const auto algorithms = workload::annotatedAlgorithms();
+        const auto &spa = algorithms.byName("SPA package delivery");
+        spec.platform = tx2;
+        spec.profile = workload::workloadProfile(spa, tx2);
+        spec.workPerFrameGop = spa.workPerFrameGop();
+        for (const FaultSpec &fault : findFaultSuite("mixed").faults)
+            spec.faults.push_back(fault);
+    }
+    return spec;
+}
+
 TEST(FaultCampaign, DegradationCurveStartsAtTheBaseline)
 {
-    const FaultCampaign campaign(tx2Campaign("mixed"));
-    const double baseline =
-        campaign.baseline().safeVelocity.value();
-
+    // Platform-only, pipeline-only and combined: baseline() is
+    // mask 0 through each campaign's own composition.
+    const std::pair<const char *, CampaignSpec> specs[] = {
+        {"platform-only", tx2Campaign("mixed")},
+        {"pipeline-only", spaCampaign(false)},
+        {"combined", spaCampaign(true)},
+    };
     exec::ThreadPool pool(4);
     exec::ParallelOptions on_pool;
     on_pool.pool = &pool;
-    const auto curve =
-        campaign.degradationCurve(5, 2000, 1, on_pool);
-    ASSERT_EQ(curve.size(), 5u);
-    // Scale 0 disables every fault: the first point is the
-    // baseline, exactly.
-    EXPECT_EQ(curve.front().scale, 0.0);
-    EXPECT_EQ(curve.front().result.abortProbability, 0.0);
-    EXPECT_EQ(curve.front().result.safeVelocity.p5, baseline);
-    EXPECT_EQ(curve.front().result.safeVelocity.p95, baseline);
-    EXPECT_NEAR(curve.front().result.safeVelocity.mean, baseline, 1e-11);
-    // The same seed at every level makes severity the only mover:
-    // each sample's active-fault set only grows with scale, so the
-    // degraded mean falls monotonically.
-    for (std::size_t i = 1; i < curve.size(); ++i) {
-        EXPECT_EQ(curve[i].scale,
-                  static_cast<double>(i) /
-                      static_cast<double>(curve.size() - 1));
-        EXPECT_LE(curve[i].result.safeVelocity.mean,
-                  curve[i - 1].result.safeVelocity.mean + 1e-12);
+    for (const auto &[name, spec] : specs) {
+        SCOPED_TRACE(name);
+        const FaultCampaign campaign(spec);
+        const double baseline =
+            campaign.baseline().safeVelocity.value();
+
+        const auto curve =
+            campaign.degradationCurve(5, 2000, 1, on_pool);
+        ASSERT_EQ(curve.size(), 5u);
+        // Scale 0 disables every fault: the first point is the
+        // baseline, exactly.
+        EXPECT_EQ(curve.front().scale, 0.0);
+        EXPECT_EQ(curve.front().result.abortProbability, 0.0);
+        EXPECT_EQ(curve.front().result.safeVelocity.p5, baseline);
+        EXPECT_EQ(curve.front().result.safeVelocity.p95, baseline);
+        EXPECT_NEAR(curve.front().result.safeVelocity.mean, baseline,
+                    1e-11);
+        // The same seed at every level makes severity the only
+        // mover: each sample's active-fault set only grows with
+        // scale, and none of these suites aborts, so the degraded
+        // mean falls monotonically.
+        for (std::size_t i = 1; i < curve.size(); ++i) {
+            EXPECT_EQ(curve[i].scale,
+                      static_cast<double>(i) /
+                          static_cast<double>(curve.size() - 1));
+            EXPECT_EQ(curve[i].result.abortProbability, 0.0);
+            EXPECT_LE(curve[i].result.safeVelocity.mean,
+                      curve[i - 1].result.safeVelocity.mean + 1e-12);
+        }
+        EXPECT_LT(curve.back().result.safeVelocity.mean, baseline);
     }
-    EXPECT_LT(curve.back().result.safeVelocity.mean, baseline);
+}
+
+TEST(FaultCampaign, TwoInflationsOfOneStageMultiplyTheirFactors)
+{
+    // A pipeline-only campaign whose two inflations of the path
+    // planner always fire: the stage runs at L * (f1 * f2), the
+    // factors' product applied to the latency, as on the combined
+    // path. (L * f1) * f2 rounds differently for these values.
+    const double f1 = 1.7;
+    const double f2 = 2.1;
+    CampaignSpec spec;
+    spec.nominal = studies::pelicanInputs(units::Hertz(20.0));
+    spec.pipeline = workload::SpaPipeline::mavbenchPackageDeliveryTx2();
+    FaultSpec slow;
+    slow.name = "planner slowdown";
+    slow.kind = FaultKind::StageLatencyInflation;
+    slow.stage = "Path planner";
+    slow.probability = 1.0;
+    slow.latencyFactor = f1;
+    FaultSpec slower = slow;
+    slower.name = "planner contention";
+    slower.latencyFactor = f2;
+    spec.faults = {slow, slower};
+
+    const auto safe_velocity = [&](double planner_latency) {
+        double total = 0.0;
+        for (const auto &stage : spec.pipeline->stages())
+            total += stage.name == "Path planner"
+                         ? planner_latency
+                         : stage.latency.value();
+        core::F1Inputs inputs = spec.nominal;
+        inputs.computeRate = units::Hertz(1.0 / total);
+        core::F1Analysis analysis;
+        core::F1Model::analyzeInto(inputs, analysis);
+        return analysis.safeVelocity.value();
+    };
+    const double planner = 0.4;
+    ASSERT_EQ(spec.pipeline->stages()[2].latency.value(), planner);
+    const double expected = safe_velocity(planner * (f1 * f2));
+    ASSERT_NE(expected, safe_velocity((planner * f1) * f2));
+
+    const CampaignResult both = FaultCampaign(spec).run(1000, 3);
+    EXPECT_EQ(both.abortProbability, 0.0);
+    EXPECT_EQ(both.safeVelocity.p5, expected);
+    EXPECT_EQ(both.safeVelocity.p95, expected);
+
+    // At even odds every subset occurs, each through the same
+    // composition as the reference loop.
+    spec.faults[0].probability = 0.5;
+    spec.faults[1].probability = 0.5;
+    const FaultCampaign mixed(spec);
+    const CampaignResult sampled = mixed.run(3001, 9);
+    expectBitIdentical(sampled, mixed.runReference(3001, 9));
+    EXPECT_EQ(sampled.safeVelocity.p5, expected);
 }
 
 /**

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <sstream>
 
 #include "exec/thread_pool.hh"
@@ -720,6 +721,72 @@ TEST(Runner, FaultsStudyRejectsOutOfRangeParams)
         << failed.error;
     EXPECT_NE(failed.error.find("dual"), std::string::npos)
         << failed.error;
+}
+
+TEST(Runner, FaultsStudyRejectsRedundancyWithoutAStageFault)
+{
+    // Replicas act only through the SPA pipeline, which a suite with
+    // no stage-resolved fault never configures: asking for them
+    // there is an error, not a silent no-op.
+    ScenarioSpec spec;
+    spec.study = "faults";
+    spec.overrides.set("fault", "mixed");
+    spec.overrides.set("samples", "64");
+    spec.overrides.set("levels", "2");
+
+    const ScenarioRunner runner;
+    for (const char *scheme : {"dual", "triple", " Triple "}) {
+        ScenarioSpec bad = spec;
+        bad.overrides.set("redundancy", scheme);
+        const ScenarioOutcome failed = runner.run(bad);
+        EXPECT_FALSE(failed.ok) << scheme;
+        EXPECT_EQ(failed.status, ScenarioStatus::Error) << scheme;
+        EXPECT_NE(failed.error.find("suite 'mixed' names none"),
+                  std::string::npos)
+            << failed.error;
+        EXPECT_NE(failed.error.find("redundancy=none"),
+                  std::string::npos)
+            << failed.error;
+    }
+
+    // `none` still runs there, and a stage suite still takes
+    // replicas.
+    ScenarioSpec none = spec;
+    none.overrides.set("redundancy", "none");
+    const ScenarioOutcome single = runner.run(none);
+    EXPECT_TRUE(single.ok) << single.error;
+    ScenarioSpec stage = spec;
+    stage.overrides.set("fault", "stage-failure");
+    stage.overrides.set("redundancy", "triple");
+    const ScenarioOutcome replicated = runner.run(stage);
+    EXPECT_TRUE(replicated.ok) << replicated.error;
+}
+
+TEST(Runner, BadAllocEndsAsResourceExhausted)
+{
+    StudyRegistry registry;
+    StudyInfo info;
+    info.name = "hungry";
+    info.run = [](const StudyContext &) -> StudyResult {
+        throw std::bad_alloc();
+    };
+    registry.add(info);
+
+    ScenarioSpec spec;
+    spec.study = "hungry";
+    const ScenarioOutcome outcome =
+        ScenarioRunner(registry).run(spec);
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.status, ScenarioStatus::ResourceExhausted);
+    EXPECT_EQ(outcome.error,
+              "study 'hungry' ran out of memory (std::bad_alloc)");
+    EXPECT_TRUE(outcome.artifacts.empty());
+
+    const std::string summary =
+        ScenarioRunner::renderSummary({outcome});
+    EXPECT_NE(summary.find("FAILED (resource-exhausted)"),
+              std::string::npos)
+        << summary;
 }
 
 TEST(Runner, FaultsStudyRejectsCountsAndSeedsOutsideTheExactRange)

@@ -230,14 +230,28 @@ TEST(StageEval, CombinedCampaignReproducesThePipelineOnlyRates)
     const fault::FaultCampaign pipeline_only(spaCampaign(false));
     const fault::FaultCampaign combined(spaCampaign(true));
 
+    const auto expect_same_rates = [](const fault::CampaignResult &a,
+                                      const fault::CampaignResult &b) {
+        EXPECT_EQ(a.safeVelocity.mean, b.safeVelocity.mean);
+        EXPECT_EQ(a.safeVelocity.stddev, b.safeVelocity.stddev);
+        EXPECT_EQ(a.safeVelocity.p5, b.safeVelocity.p5);
+        EXPECT_EQ(a.safeVelocity.p50, b.safeVelocity.p50);
+        EXPECT_EQ(a.safeVelocity.p95, b.safeVelocity.p95);
+        EXPECT_EQ(a.abortProbability, b.abortProbability);
+        EXPECT_EQ(a.faultActivationRate, b.faultActivationRate);
+    };
     const fault::CampaignResult a = pipeline_only.run(2000, 11);
     const fault::CampaignResult b = combined.run(2000, 11);
-    EXPECT_EQ(a.safeVelocity.mean, b.safeVelocity.mean);
-    EXPECT_EQ(a.safeVelocity.stddev, b.safeVelocity.stddev);
-    EXPECT_EQ(a.safeVelocity.p5, b.safeVelocity.p5);
-    EXPECT_EQ(a.safeVelocity.p50, b.safeVelocity.p50);
-    EXPECT_EQ(a.safeVelocity.p95, b.safeVelocity.p95);
-    EXPECT_EQ(a.abortProbability, b.abortProbability);
+    expect_same_rates(a, b);
+    expect_same_rates(pipeline_only.runReference(2000, 11),
+                      combined.runReference(2000, 11));
+    const auto curve_a = pipeline_only.degradationCurve(9, 2000, 11);
+    const auto curve_b = combined.degradationCurve(9, 2000, 11);
+    ASSERT_EQ(curve_a.size(), curve_b.size());
+    for (std::size_t level = 0; level < curve_a.size(); ++level) {
+        SCOPED_TRACE("level " + std::to_string(level));
+        expect_same_rates(curve_a[level].result, curve_b[level].result);
+    }
 
     // Only the combined path reports per-stage bindings; with the
     // platform un-faulted every surviving stage is
