@@ -12,7 +12,9 @@
  * The mixed-suite degradation curve is timed too (ns per sampled
  * mission over all 9 levels) and checked point by point against
  * the scaled reference; its timing has no baseline, so it is
- * reported but not gated.
+ * reported but not gated. So are the standard normal draws behind
+ * every lognormal spread: Rng::normalBlock against the normal()
+ * loop it must reproduce bit for bit.
  * CI compares that artifact against the committed baseline in
  * bench/baselines/ via tools/check_perf.py and fails on >25%
  * ns/eval regression or any batch-vs-reference mismatch.
@@ -20,11 +22,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_common.hh"
 #include "components/catalog.hh"
@@ -33,6 +38,7 @@
 #include "fault/fault_spec.hh"
 #include "sim/monte_carlo.hh"
 #include "studies/presets.hh"
+#include "support/rng.hh"
 #include "workload/algorithm.hh"
 #include "workload/spa_pipeline.hh"
 #include "workload/throughput.hh"
@@ -376,6 +382,46 @@ printFigure()
                 stage_batch_ns, stage_ref_ns,
                 stage_ref_ns / stage_batch_ns);
 
+    // --- Standard normal draws -----------------------------------
+    // The Monte-Carlo draw phase: one normalBlock call per kernel
+    // sub-batch (256 draws = 64 samples x the 4 spreads of the
+    // pipeline spec) against the normal() loop it replaces, over the
+    // same stream. Medians of 9 repeats, ns per draw; reported, not
+    // gated.
+    constexpr std::size_t draws = 1 << 20;
+    constexpr std::size_t sub_batch = 256;
+    constexpr std::size_t repeats = 9;
+    std::vector<double> scalar_draws(draws);
+    std::vector<double> block_draws(draws);
+    std::vector<double> scalar_ms;
+    std::vector<double> block_ms;
+    for (std::size_t rep = 0; rep < repeats; ++rep) {
+        Rng scalar_rng(17 + rep);
+        start = std::chrono::steady_clock::now();
+        for (double &z : scalar_draws)
+            z = scalar_rng.normal();
+        scalar_ms.push_back(millisSince(start));
+        Rng block_rng(17 + rep);
+        start = std::chrono::steady_clock::now();
+        for (std::size_t k = 0; k < draws; k += sub_batch)
+            block_rng.normalBlock(block_draws.data() + k, sub_batch);
+        block_ms.push_back(millisSince(start));
+    }
+    const bool normal_identical =
+        std::memcmp(scalar_draws.data(), block_draws.data(),
+                    draws * sizeof(double)) == 0;
+    const auto median_ns = [&](std::vector<double> &ms) {
+        std::nth_element(ms.begin(), ms.begin() + repeats / 2,
+                         ms.end());
+        return ms[repeats / 2] * 1e6 / draws;
+    };
+    const double normal_ns = median_ns(scalar_ms);
+    const double normal_block_ns = median_ns(block_ms);
+    std::printf("  Normal draws, 1 thread: normalBlock %.1f ns/draw, "
+                "normal() %.1f ns/draw (%.2fx); bit-identical: %s\n",
+                normal_block_ns, normal_ns, normal_ns / normal_block_ns,
+                normal_identical ? "yes" : "NO (BUG)");
+
     bench::note("absolute timings depend on the machine; CI gates "
                 "on the committed baseline with 25% headroom");
 
@@ -411,6 +457,11 @@ printFigure()
          << ",\n"
          << "  \"curve_bit_identical\": "
          << (curve_identical ? "true" : "false") << ",\n"
+         << "  \"normal_ns_per_draw\": " << normal_ns << ",\n"
+         << "  \"normal_block_ns_per_draw\": " << normal_block_ns
+         << ",\n"
+         << "  \"normal_block_bit_identical\": "
+         << (normal_identical ? "true" : "false") << ",\n"
          << "  \"bit_identical\": "
          << (bit_identical ? "true" : "false") << "\n"
          << "}\n";

@@ -44,6 +44,26 @@ namespace uavf1::scenario {
 
 namespace {
 
+/**
+ * A sample-count parameter, capped like the sweep study's steps
+ * (SkylineSession::maxSweepSteps) and checked before the study
+ * allocates a point per sample: a count of 10^9 once ran until
+ * std::bad_alloc.
+ */
+std::size_t
+sampleCount(const StudyContext &ctx, const std::string &name,
+            std::size_t fallback, const std::string &study)
+{
+    const std::size_t count = ctx.params.getCount(name, fallback);
+    constexpr std::size_t cap = skyline::SkylineSession::maxSweepSteps;
+    if (count > cap) {
+        throw ModelError("parameter '" + name + "' of the " + study +
+                         " study allows at most " + std::to_string(cap) +
+                         " samples, got " + std::to_string(count));
+    }
+    return count;
+}
+
 StudyResult
 runFig02Study(const StudyContext &)
 {
@@ -119,7 +139,7 @@ StudyResult
 runFig05Study(const StudyContext &ctx)
 {
     const studies::Fig05Result fig = studies::runFig05(
-        ctx.params.getCount("sweep_samples", 128));
+        sampleCount(ctx, "sweep_samples", 128, "fig05"));
     StudyResult result;
     result.xLabel = "f_action_hz";
     result.yLabel = "v_safe_mps";
@@ -190,7 +210,7 @@ StudyResult
 runFig09Study(const StudyContext &ctx)
 {
     const studies::Fig09Result fig = studies::runFig09(
-        ctx.params.getCount("sweep_samples", 141), ctx.parallel);
+        sampleCount(ctx, "sweep_samples", 141, "fig09"), ctx.parallel);
     StudyResult result;
     result.xLabel = "payload_g";
     result.yLabel = "v_safe_mps";
@@ -580,7 +600,7 @@ runRooflineStudy(const StudyContext &ctx)
         op_name.empty() ? 0 : machine.operatingPointIndex(op_name);
     const double ai_min = ctx.params.getNumber("ai_min", 0.01);
     const double ai_max = ctx.params.getNumber("ai_max", 1000.0);
-    const auto samples = ctx.params.getCount("samples", 97);
+    const auto samples = sampleCount(ctx, "samples", 97, "roofline");
     const std::string workloads =
         toLower(trim(ctx.params.get("workloads", "standard")));
     if (workloads != "standard" && workloads != "annotated") {

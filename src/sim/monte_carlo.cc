@@ -6,8 +6,9 @@
  * run() and runReference() share one Sampler (setup, per-slot
  * tallies, summary) on forEachBlock and differ only in the per-block
  * body. run()'s is the batched hot path: kernelBlock-sized
- * sub-batches through a sequential draw phase, the compiled plans
- * and the core::analyzeBlock kernel, every per-sample expression
+ * sub-batches through a draw phase (Rng::normalBlock, then one
+ * lognormal column per spread), the compiled plans and the
+ * core::analyzeBlock kernel, every per-sample expression
  * matching the scalar loop operand for operand. runReference()'s is
  * that scalar sample-at-a-time loop, kept as the oracle; the two are
  * bit-identical. A sub-batch that fails a kernel's validation flag
@@ -603,6 +604,10 @@ struct alignas(64) Arena
         MonteCarloAnalyzer::kernelBlock;
     static_assert(cap % simd::nativeWidth == 0,
                   "native width must divide the kernel block");
+    /** The sub-batch's standard normals, sample-major: sample i's
+     * draws are z[i * draws, (i + 1) * draws), one per active
+     * spread (at most five). */
+    double z[cap * 5];
     double aMax[cap];
     double range[cap];
     double ai[cap]; ///< Pipeline path: the shared AI scale.
@@ -633,9 +638,12 @@ class Sampler
         : _spec(spec), _count(count),
           _p_amax(perturbParams(spec.aMaxRelStd)),
           _p_range(perturbParams(spec.rangeRelStd)),
-          _p_ai(perturbParams(spec.aiRelStd)),
+          // Only the platform paths draw the AI factor.
+          _p_ai(perturbParams(spec.platform ? spec.aiRelStd : 0.0)),
           _p_compute(perturbParams(spec.computeRelStd)),
-          _p_sensor(perturbParams(spec.sensorRelStd))
+          _p_sensor(perturbParams(spec.sensorRelStd)),
+          _draws(_p_amax.active + _p_range.active + _p_ai.active +
+                 _p_compute.active + _p_sensor.active)
     {
         if (count < 10)
             throw ModelError("Monte-Carlo run needs >= 10 samples");
@@ -789,9 +797,10 @@ class Sampler
 
     /**
      * The batched body over samples [lo, hi), in kernelBlock-sized
-     * sub-batches: a sequential draw phase (libm exp stays scalar;
-     * its vector forms are not bit-exact), a batched bound phase
-     * over the compiled plan, and the core::analyzeBlock kernel.
+     * sub-batches: a draw phase (one normalBlock call, then one
+     * scalar libm exp column per active spread; exp's vector forms
+     * are not bit-exact), a batched bound phase over the compiled
+     * plan, and the core::analyzeBlock kernel.
      * Tallies are committed only once a sub-batch validates; on a
      * tripped ok flag the sub-batch reruns through scalar() from a
      * saved RNG state, so its error (and every committed value
@@ -821,19 +830,22 @@ class Sampler
             Rng rescan_rng = rng;
             bool ok = true;
 
-            // Phase A: sequential draws in the scalar loop's order.
-            for (std::size_t i = 0; i < m; ++i) {
-                arena.aMax[i] = nominal_amax * drawFactor(_p_amax, rng);
-                arena.range[i] =
-                    nominal_range * drawFactor(_p_range, rng);
-                if (_plan)
-                    arena.ai[i] = drawFactor(_p_ai, rng);
-                else if (_flatPlan)
-                    arena.ai[i] = nominal_ai * drawFactor(_p_ai, rng);
-                arena.computeFactor[i] = drawFactor(_p_compute, rng);
-                arena.sensorRate[i] =
-                    nominal_sensor * drawFactor(_p_sensor, rng);
-            }
+            // Phase A: the scalar loop's normals in its order (one
+            // per active spread per sample), then one lognormal
+            // factor column per spread.
+            rng.normalBlock(arena.z, m * _draws);
+            std::size_t column = 0;
+            factorColumn(_p_amax, nominal_amax, arena.z, m, column,
+                         arena.aMax);
+            factorColumn(_p_range, nominal_range, arena.z, m, column,
+                         arena.range);
+            if (_plan || _flatPlan)
+                factorColumn(_p_ai, _plan ? 1.0 : nominal_ai, arena.z,
+                             m, column, arena.ai);
+            factorColumn(_p_compute, 1.0, arena.z, m, column,
+                         arena.computeFactor);
+            factorColumn(_p_sensor, nominal_sensor, arena.z, m, column,
+                         arena.sensorRate);
 
             // Phase B: batched f_compute evaluation.
             if (_plan) {
@@ -938,6 +950,26 @@ class Sampler
     }
 
   private:
+    /**
+     * out[i] = nominal * drawFactor(p) for the m samples of a
+     * sub-batch, the factor's normal read from column `column` of
+     * the sample-major z (which then moves to the next column). An
+     * inactive spread reads no column and gives nominal * 1.0.
+     */
+    void factorColumn(const PerturbParams &p, double nominal,
+                      const double *z, std::size_t m,
+                      std::size_t &column, double *out) const
+    {
+        if (!p.active) {
+            std::fill_n(out, m, nominal * 1.0);
+            return;
+        }
+        for (std::size_t i = 0; i < m; ++i)
+            out[i] = nominal *
+                     std::exp(p.mu + p.sqrtSigma * z[i * _draws + column]);
+        ++column;
+    }
+
     /** Flat slot of a binding: compute ceilings first. */
     std::size_t flatSlot(const platform::CeilingRef &binding) const
     {
@@ -949,6 +981,7 @@ class Sampler
     const UncertaintySpec &_spec;
     std::size_t _count;
     PerturbParams _p_amax, _p_range, _p_ai, _p_compute, _p_sensor;
+    std::size_t _draws; ///< Normals per sample: the active spreads.
     std::optional<workload::StagePipelinePlan> _plan;
     std::optional<platform::EvaluationPlan> _flatPlan;
     std::size_t _stages = 0;

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <mutex>
 #include <set>
@@ -30,6 +32,7 @@
 #include "sim/monte_carlo.hh"
 #include "skyline/dse.hh"
 #include "studies/presets.hh"
+#include "support/errors.hh"
 #include "support/rng.hh"
 #include "workload/algorithm.hh"
 #include "workload/batch_eval.hh"
@@ -439,6 +442,22 @@ monteCarloSpecs()
     staged.computeRelStd = 0.05;
     specs.push_back(staged);
 
+    // Every spread active, sensorRelStd included: five normals per
+    // sample, so a sub-batch of odd length draws an odd count and
+    // leaves a spare in the stream.
+    sim::UncertaintySpec every = flat;
+    every.sensorRelStd = 0.2;
+    specs.push_back(every);
+
+    // Every spread 0: no normals at all (normalBlock(z, 0)), and
+    // every factor column is the nominal itself.
+    sim::UncertaintySpec none = staged;
+    none.aMaxRelStd = 0.0;
+    none.rangeRelStd = 0.0;
+    none.computeRelStd = 0.0;
+    none.aiRelStd = 0.0;
+    specs.push_back(none);
+
     return specs;
 }
 
@@ -479,6 +498,140 @@ TEST(MonteCarloBatch, RunMatchesReferenceAbovePilotSize)
             options.maxThreads = threads;
             expectIdentical(reference,
                             analyzer.run(count, 11, options));
+        }
+    }
+}
+
+TEST(MonteCarloBatch, ZeroSpreadsGiveTheNominalAnalysis)
+{
+    // A metamorphic oracle independent of the batch/scalar twins:
+    // with every relative std at 0, each sample is the nominal
+    // analysis, so every quantile is its value and its bound has
+    // probability 1. The mean and stddev are only within rounding
+    // of it: a block's moments are a sequential sum over its
+    // samples divided by their count, and n equal values need not
+    // sum to n times the value exactly (e.g. the Pelican at 55 Hz
+    // gives a v_safe stddev of ~5e-14 m/s over 5003 samples).
+    sim::UncertaintySpec legacy;
+    legacy.nominal = studies::pelicanInputs(units::Hertz(20.0));
+    sim::UncertaintySpec flat = legacy;
+    flat.nominal = studies::pelicanInputs(units::Hertz(55.0));
+    flat.platform = preset("Nvidia TX2");
+    flat.profile.ai = units::OpsPerByte(22.3);
+    flat.workPerFrameGop = 0.04;
+    for (sim::UncertaintySpec spec : {legacy, flat}) {
+        spec.aMaxRelStd = 0.0;
+        spec.rangeRelStd = 0.0;
+        spec.computeRelStd = 0.0;
+        spec.sensorRelStd = 0.0;
+        spec.aiRelStd = 0.0;
+        core::F1Inputs inputs = spec.nominal;
+        if (spec.platform) {
+            inputs.computeRate = units::Hertz(
+                spec.platform->attainable(spec.profile, spec.opIndex)
+                    .attainable.value() /
+                spec.workPerFrameGop);
+        }
+        const core::F1Analysis nominal = core::F1Model(inputs).analyze();
+        const sim::MonteCarloAnalyzer analyzer(spec);
+        // Below and above the pilot threshold.
+        for (const std::size_t count :
+             {5003u, 4u * 16u * 2048u + 3u * 2048u + 5u}) {
+            for (const sim::UncertaintyResult &result :
+                 {analyzer.run(count, 7), analyzer.runReference(count, 7)}) {
+                const auto expect_nominal = [](const sim::Distribution &d,
+                                               double value) {
+                    EXPECT_EQ(d.p5, value);
+                    EXPECT_EQ(d.p50, value);
+                    EXPECT_EQ(d.p95, value);
+                    EXPECT_NEAR(d.mean, value, 1e-12 * value);
+                    EXPECT_LE(d.stddev, 1e-12 * value);
+                };
+                expect_nominal(result.safeVelocity,
+                               nominal.safeVelocity.value());
+                expect_nominal(result.kneeThroughput,
+                               nominal.kneeThroughput.value());
+                expect_nominal(result.roofVelocity,
+                               nominal.roofVelocity.value());
+                using core::BoundType;
+                const auto prob = [&](BoundType bound) {
+                    return nominal.bound == bound ? 1.0 : 0.0;
+                };
+                EXPECT_EQ(result.probComputeBound,
+                          prob(BoundType::ComputeBound));
+                EXPECT_EQ(result.probSensorBound,
+                          prob(BoundType::SensorBound));
+                EXPECT_EQ(result.probControlBound,
+                          prob(BoundType::ControlBound));
+                EXPECT_EQ(result.probPhysicsBound,
+                          prob(BoundType::PhysicsBound));
+            }
+        }
+    }
+}
+
+TEST(MonteCarloBatch, FirstErrorMatchesTheReference)
+{
+    // A subnormal nominal sensing range passes construction, and a
+    // perturbation factor below 1/16 rounds it to exactly 0, which
+    // the F-1 model rejects. With this seed the first such sample is
+    // 209: in block 0, partway through its fourth kernel sub-batch,
+    // so run() must rescan that sub-batch from its saved Rng and
+    // throw the scalar loop's error there. Every spread is active:
+    // five normals per sample.
+    sim::UncertaintySpec spec = monteCarloSpecs()[3];
+    spec.nominal.sensingRange = units::Meters(8 * 4.9e-324);
+    spec.rangeRelStd = 1.0;
+    const sim::MonteCarloAnalyzer analyzer(spec);
+    const std::uint64_t seed = 1;
+    constexpr std::size_t first_bad = 209;
+
+    const auto error_of = [](const auto &call) -> std::string {
+        try {
+            call();
+        } catch (const ModelError &e) {
+            return e.what();
+        }
+        return "";
+    };
+    // The samples before it commit, identically on both paths. Their
+    // knee throughput is +inf, so its stddev and quantiles are NaN:
+    // compare bits.
+    const auto bits = [](const sim::Distribution &d) {
+        return std::array<std::uint64_t, 5>{
+            std::bit_cast<std::uint64_t>(d.mean),
+            std::bit_cast<std::uint64_t>(d.stddev),
+            std::bit_cast<std::uint64_t>(d.p5),
+            std::bit_cast<std::uint64_t>(d.p50),
+            std::bit_cast<std::uint64_t>(d.p95)};
+    };
+    const sim::UncertaintyResult reference =
+        analyzer.runReference(first_bad, seed);
+    const sim::UncertaintyResult batched = analyzer.run(first_bad, seed);
+    EXPECT_EQ(bits(reference.safeVelocity), bits(batched.safeVelocity));
+    EXPECT_EQ(bits(reference.kneeThroughput),
+              bits(batched.kneeThroughput));
+    EXPECT_EQ(bits(reference.roofVelocity), bits(batched.roofVelocity));
+    EXPECT_EQ(reference.probPhysicsBound, batched.probPhysicsBound);
+    EXPECT_EQ(reference.probComputeCeilingBinds,
+              batched.probComputeCeilingBinds);
+    const std::string expected = error_of(
+        [&] { analyzer.runReference(first_bad + 1, seed); });
+    ASSERT_EQ(expected, "sensing_range must be positive, got 0.000000");
+
+    exec::ThreadPool pool(8);
+    // One block (2047 is partial, with an odd last sub-batch) so the
+    // first error is this sample's at every thread count.
+    for (const std::size_t count : {first_bad + 1, std::size_t{2047}}) {
+        EXPECT_EQ(error_of([&] { analyzer.runReference(count, seed); }),
+                  expected);
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+            exec::ParallelOptions options;
+            options.pool = &pool;
+            options.maxThreads = threads;
+            EXPECT_EQ(error_of([&] { analyzer.run(count, seed, options); }),
+                      expected)
+                << count << " samples, " << threads << " threads";
         }
     }
 }

@@ -25,12 +25,19 @@
  * seed, so a pool change reshuffles later draws but keeps the run
  * reproducible. See ROADMAP.md, "Fault model & degraded-mode
  * contract".
+ *
+ * The Monte-Carlo analyzer gets the same treatment above its pilot
+ * threshold, where run() folds through pilot-set quantile windows
+ * and draws its normals in blocks: seeded (platform, flat or
+ * pipeline path, spread set, count) tuples must give exactly
+ * runReference()'s result on both SIMD backends.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -39,6 +46,7 @@
 #include "fault/campaign.hh"
 #include "fault/fault_spec.hh"
 #include "pipeline/redundancy.hh"
+#include "sim/monte_carlo.hh"
 #include "simd/simd.hh"
 #include "studies/presets.hh"
 #include "support/errors.hh"
@@ -325,6 +333,141 @@ TEST(Differential, TwoHundredRandomTuplesAgreeAcrossAllFourPaths)
     // constructs, and a pool change that silently discards most of
     // the space would hollow the harness out.
     EXPECT_GE(compared, 150) << "too many tuples skipped";
+}
+
+/** Exact equality across every field of an UncertaintyResult. */
+void
+expectBitIdentical(const sim::UncertaintyResult &a,
+                   const sim::UncertaintyResult &b,
+                   const std::string &label)
+{
+    const auto expect_dist = [&](const sim::Distribution &x,
+                                 const sim::Distribution &y,
+                                 const char *name) {
+        EXPECT_EQ(x.mean, y.mean) << label << " " << name;
+        EXPECT_EQ(x.stddev, y.stddev) << label << " " << name;
+        EXPECT_EQ(x.p5, y.p5) << label << " " << name;
+        EXPECT_EQ(x.p50, y.p50) << label << " " << name;
+        EXPECT_EQ(x.p95, y.p95) << label << " " << name;
+    };
+    expect_dist(a.safeVelocity, b.safeVelocity, "v_safe");
+    expect_dist(a.kneeThroughput, b.kneeThroughput, "knee");
+    expect_dist(a.roofVelocity, b.roofVelocity, "roof");
+    EXPECT_EQ(a.probComputeBound, b.probComputeBound) << label;
+    EXPECT_EQ(a.probSensorBound, b.probSensorBound) << label;
+    EXPECT_EQ(a.probControlBound, b.probControlBound) << label;
+    EXPECT_EQ(a.probPhysicsBound, b.probPhysicsBound) << label;
+    EXPECT_EQ(a.probComputeCeilingBinds, b.probComputeCeilingBinds)
+        << label;
+    EXPECT_EQ(a.probMemoryCeilingBinds, b.probMemoryCeilingBinds)
+        << label;
+    ASSERT_EQ(a.stageBindings.size(), b.stageBindings.size()) << label;
+    for (std::size_t s = 0; s < a.stageBindings.size(); ++s) {
+        EXPECT_EQ(a.stageBindings[s].probComputeBound,
+                  b.stageBindings[s].probComputeBound)
+            << label;
+        EXPECT_EQ(a.stageBindings[s].probMemoryBound,
+                  b.stageBindings[s].probMemoryBound)
+            << label;
+        EXPECT_EQ(a.stageBindings[s].probMeasured,
+                  b.stageBindings[s].probMeasured)
+            << label;
+    }
+    EXPECT_EQ(a.samples, b.samples) << label;
+}
+
+TEST(Differential, MonteCarloAbovePilotThresholdMatchesReference)
+{
+    ModeGuard guard;
+    const auto catalog = components::Catalog::standard();
+    const auto algorithms = workload::annotatedAlgorithms();
+    const std::vector<std::string> platform_names = {
+        "Nvidia TX2", "TX2-CPU + Navion"};
+    const std::vector<std::string> algorithm_names =
+        algorithms.names();
+    const workload::SpaPipeline mavbench =
+        workload::SpaPipeline::mavbenchPackageDeliveryTx2();
+
+    exec::ThreadPool pool(4);
+    exec::ParallelOptions parallel;
+    parallel.pool = &pool;
+
+    Rng master(0x5eedC0DEull);
+    const int cases = 12;
+    std::set<std::size_t> draws_seen;
+    int compared = 0;
+    for (int c = 0; c < cases; ++c) {
+        const std::string &platform_name =
+            pick(master, platform_names);
+        const std::string &algorithm_name =
+            pick(master, algorithm_names);
+        const platform::RooflinePlatform &machine =
+            catalog.rooflines().byName(platform_name);
+        const auto &algorithm = algorithms.byName(algorithm_name);
+
+        sim::UncertaintySpec spec;
+        spec.nominal = studies::pelicanInputs(
+            units::Hertz(5.0 + master.uniform() * 50.0));
+        spec.platform = machine;
+        spec.profile = workload::workloadProfile(algorithm, machine);
+        spec.workPerFrameGop = algorithm.workPerFrameGop();
+        const bool pipeline = master.uniform() < 0.5;
+        if (pipeline)
+            spec.pipeline = mavbench;
+        // Each spread is active with probability 1/2, so the draw
+        // count per sample (odd or even) varies across tuples.
+        double *spreads[] = {&spec.aMaxRelStd, &spec.rangeRelStd,
+                             &spec.aiRelStd, &spec.computeRelStd,
+                             &spec.sensorRelStd};
+        std::size_t draws = 0;
+        for (double *spread : spreads) {
+            const bool active = master.uniform() < 0.5;
+            *spread = active ? 0.02 + 0.3 * master.uniform() : 0.0;
+            draws += active;
+        }
+        // Above 4 pilots of 16 blocks.
+        const std::size_t count =
+            4 * 16 * 2048 + 1 +
+            static_cast<std::size_t>(master.uniform() * 40000.0);
+        const auto seed =
+            static_cast<std::uint64_t>(master.uniform() * 1e9);
+
+        const std::string label =
+            "case " + std::to_string(c) + ": " + platform_name +
+            " / " + algorithm_name + (pipeline ? " / pipeline" : " / flat") +
+            " / " + std::to_string(draws) + " spreads / " +
+            std::to_string(count) + " samples, seed " +
+            std::to_string(seed);
+
+        // As above: a tuple the analyzer rejects at construction
+        // carries no differential signal.
+        std::optional<sim::MonteCarloAnalyzer> constructed;
+        try {
+            constructed.emplace(spec);
+        } catch (const ModelError &) {
+            continue;
+        }
+        const sim::MonteCarloAnalyzer &analyzer = *constructed;
+
+        simd::setMode(simd::Mode::Native);
+        const sim::UncertaintyResult reference =
+            analyzer.runReference(count, seed, parallel);
+        expectBitIdentical(reference,
+                           analyzer.run(count, seed, parallel),
+                           label + " [batch]");
+        simd::setMode(simd::Mode::Scalar);
+        expectBitIdentical(reference,
+                           analyzer.run(count, seed, parallel),
+                           label + " [scalar-mode batch]");
+        simd::setMode(guard.saved);
+        draws_seen.insert(draws % 2);
+        ++compared;
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GE(compared, 9) << "too many tuples skipped";
+    EXPECT_EQ(draws_seen.size(), 2u)
+        << "the tuples must cover odd and even draw counts";
 }
 
 TEST(Differential, FirstThrownErrorMatchesAcrossPaths)

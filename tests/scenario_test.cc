@@ -271,6 +271,51 @@ TEST(Runner, FaultsStudyRejectsLevelsAboveTheCap)
     EXPECT_TRUE(at_cap.ok) << at_cap.error;
 }
 
+/**
+ * `study` rejects a `param` count above the sweep study's 10^6 cap
+ * with a named error before it allocates a point per sample (10^9
+ * or 10^12 once ran until std::bad_alloc), and still runs at
+ * `runs_at`.
+ */
+void
+expectSampleCap(const char *study, const char *param,
+                const char *runs_at)
+{
+    for (const char *count :
+         {"1000001", "1000000000", "1000000000000"}) {
+        ScenarioSpec spec;
+        spec.study = study;
+        spec.overrides.set(param, count);
+        const ScenarioOutcome outcome = ScenarioRunner().run(spec);
+        EXPECT_FALSE(outcome.ok) << count;
+        EXPECT_EQ(outcome.error,
+                  std::string("parameter '") + param + "' of the " +
+                      study + " study allows at most 1000000 samples, " +
+                      "got " + count);
+    }
+    ScenarioSpec spec;
+    spec.study = study;
+    spec.overrides.set(param, runs_at);
+    const ScenarioOutcome outcome = ScenarioRunner().run(spec);
+    EXPECT_TRUE(outcome.ok) << outcome.error;
+}
+
+TEST(Runner, Fig05RejectsSweepSamplesAboveTheCap)
+{
+    // The cap itself still runs.
+    expectSampleCap("fig05", "sweep_samples", "1000000");
+}
+
+TEST(Runner, Fig09RejectsSweepSamplesAboveTheCap)
+{
+    expectSampleCap("fig09", "sweep_samples", "300");
+}
+
+TEST(Runner, RooflineRejectsSamplesAboveTheCap)
+{
+    expectSampleCap("roofline", "samples", "300");
+}
+
 TEST(Runner, RooflineStudyRendersTheCeilingFamily)
 {
     namespace fs = std::filesystem;

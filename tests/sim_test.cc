@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -740,6 +741,61 @@ TEST(DistributionFold, RejectsNaNAndBadWindows)
     windows[2] = {2.0, 1.0};
     EXPECT_THROW(DistributionFold(10, 1, windows), ModelError);
     EXPECT_THROW(DistributionFold(0, 1), ModelError);
+}
+
+/**
+ * normalBlock(out, n) from `rng` after `before` normal() calls must
+ * give exactly the next n normal() values, and leave the stream where
+ * they would: the next draws after it match too.
+ */
+void
+expectNormalBlockMatches(const Rng &rng, std::size_t before,
+                         std::size_t n)
+{
+    Rng block = rng;
+    Rng scalar = rng;
+    for (std::size_t k = 0; k < before; ++k)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(block.normal()),
+                  std::bit_cast<std::uint64_t>(scalar.normal()));
+    std::vector<double> out(n);
+    block.normalBlock(out.data(), n);
+    for (std::size_t k = 0; k < n; ++k)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[k]),
+                  std::bit_cast<std::uint64_t>(scalar.normal()))
+            << "draw " << k << " of " << n << " after " << before;
+    // An odd total leaves a spare: the first of these draws reads
+    // it, the next two start a fresh pair.
+    for (std::size_t k = 0; k < 3; ++k)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(block.normal()),
+                  std::bit_cast<std::uint64_t>(scalar.normal()))
+            << "draw " << k << " after a block of " << n;
+}
+
+TEST(Rng, NormalBlockMatchesNormal)
+{
+    // SplitMix64 mixes 0 to 0, so a stream seeded at -(2j + 1) times
+    // the increment draws an exactly-zero uniform 2j: its Box-Muller
+    // pair j goes through the log(0) guard.
+    const auto guarded = [](std::uint64_t pair) {
+        return Rng(0ull - (2 * pair + 1) * 0x9e3779b97f4a7c15ull);
+    };
+    ASSERT_EQ(guarded(0).uniform(), 0.0);
+    ASSERT_TRUE(std::isfinite(guarded(0).normal()));
+
+    // Around the 128-pair chunk and past several chunks.
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 127u, 128u, 129u, 255u,
+                                256u, 257u, 1001u}) {
+        SCOPED_TRACE(n);
+        // No spare in, a spare carried in (one earlier draw), and
+        // three earlier draws.
+        for (const std::size_t before : {0u, 1u, 3u})
+            expectNormalBlockMatches(Rng(12345), before, n);
+        // The guarded pair first in the block, right after a carried
+        // spare, and (once n passes 400) in the block's second chunk.
+        expectNormalBlockMatches(guarded(0), 0, n);
+        expectNormalBlockMatches(guarded(1), 1, n);
+        expectNormalBlockMatches(guarded(200), 0, n);
+    }
 }
 
 TEST(ForEachBlock, VisitsEveryIndexOnceOnItsBlockStream)
